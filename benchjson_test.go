@@ -3,7 +3,7 @@ package lsnuma
 // Machine-readable benchmark results. `go test -run WriteBenchJSON
 // -benchjson BENCH_5.json .` benchmarks every figure workload under both
 // schedulers (the default run-ahead handoff scheduler and the serial
-// per-access handshake scheduler kept behind Config.SerialSchedule), both
+// per-access handshake scheduler selected by Config.Scheduler), both
 // directory layouts (the dense paged-array directory and the legacy map
 // directory kept behind Config.MapDirectory), and, on the run-ahead
 // scheduler, at every online-checking level (Config.Check off / touched /
@@ -105,7 +105,7 @@ func TestWriteBenchJSON(t *testing.T) {
 		for _, v := range variants {
 			cfg := w.cfg
 			cfg.Protocol = LS
-			cfg.SerialSchedule = v.sched == "serial"
+			cfg.Scheduler = schedulerName(v.sched == "serial")
 			cfg.Check = v.check
 			cfg.MapDirectory = v.dir == "map"
 			var last *Result

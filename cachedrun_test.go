@@ -113,23 +113,13 @@ func TestPointKeyStability(t *testing.T) {
 		},
 		"workload": func() (string, error) { return PointKey(cfg, "cholesky", ScaleTest) },
 		"scale":    func() (string, error) { return PointKey(cfg, "mp3d", ScaleSmall) },
-		// The scheduler knobs must land in the content hash even though
-		// all schedulers produce identical Results: a cache entry records
+		// The scheduler must land in the content hash even though both
+		// schedulers produce identical Results: a cache entry records
 		// the exact configuration asked for, and collapsing these fields
 		// silently would make a future semantics-affecting knob unsafe.
 		"scheduler": func() (string, error) {
 			c := cfg
-			c.Scheduler = "parallel"
-			return PointKey(c, "mp3d", ScaleTest)
-		},
-		"shards": func() (string, error) {
-			c := cfg
-			c.Shards = 4
-			return PointKey(c, "mp3d", ScaleTest)
-		},
-		"lookahead": func() (string, error) {
-			c := cfg
-			c.Lookahead = 100
+			c.Scheduler = "serial"
 			return PointKey(c, "mp3d", ScaleTest)
 		},
 	}

@@ -172,6 +172,12 @@ func main() {
 	}
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
 
+	// Install the drain handler before any listener serves: a SIGTERM
+	// that follows the first healthy response must drain, not kill the
+	// process with the default signal action.
+	sigCh := make(chan os.Signal, 2)
+	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
+
 	// Profiling endpoints live on their own listener so they are never
 	// reachable through the job-serving address. A host-less address
 	// (":6060") binds loopback only; exposing the profiler beyond the
@@ -202,8 +208,6 @@ func main() {
 		errCh <- httpSrv.ListenAndServe()
 	}()
 
-	sigCh := make(chan os.Signal, 2)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-errCh:
 		fatal(err)

@@ -40,11 +40,8 @@ var (
 	faultsFlag   = flag.String("faults", "", "inject protocol/message faults into every point: class[@arg][:seed],...")
 	mshrsFlag    = flag.Int("mshrs", 0, "per-home directory transaction buffers (0 = unlimited)")
 	retryFlag    = flag.String("retry", "", "NACK/loss retry policy: max:N,base:C,cap:C,jitter:S (empty = retries off)")
-	schedFlag    = flag.String("scheduler", "", "scheduler for every point: runahead (default), serial, or parallel")
+	schedFlag    = flag.String("scheduler", "", "scheduler for every point: runahead (default) or serial")
 	dirfmtFlag   = flag.String("dirformat", "", "directory wire format for every point: full (default), limited:i, or coarse:K")
-	shardsFlag   = flag.Int("shards", 0, "parallel scheduler home shards (0 = GOMAXPROCS)")
-	lookFlag     = flag.Uint64("lookahead", 0, "parallel scheduler safe-window cap in cycles (0 = uncapped)")
-	fuseFlag     = flag.Uint64("fuse", 0, "parallel scheduler fused-streak op cap (0 = default 1024; 1 disables fusion)")
 	cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile   = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	mutexprofile = flag.String("mutexprofile", "", "write a mutex-contention profile to this file on exit")
@@ -203,9 +200,6 @@ func robust(cfg lsnuma.Config) lsnuma.Config {
 	cfg.DirMSHRs = *mshrsFlag
 	cfg.Retry = *retryFlag
 	cfg.Scheduler = *schedFlag
-	cfg.Shards = *shardsFlag
-	cfg.Lookahead = *lookFlag
-	cfg.Fuse = *fuseFlag
 	cfg.DirFormat = *dirfmtFlag
 	return cfg
 }

@@ -41,12 +41,8 @@ func main() {
 		figure       = flag.Bool("figure", false, "render the three-panel behaviour figure (needs -protocol all)")
 		regions      = flag.Bool("regions", false, "print per-region load-store coverage")
 		jsonOut      = flag.Bool("json", false, "emit results as JSON instead of text")
-		serial       = flag.Bool("serial", false, "use the per-access handshake scheduler (slower; for debugging/differential runs)")
-		scheduler    = flag.String("scheduler", "", "scheduler: runahead (default), serial, or parallel (shard homes across host cores)")
+		scheduler    = flag.String("scheduler", "", "scheduler: runahead (default) or serial (per-access handshake; slower, for debugging/differential runs)")
 		dirformat    = flag.String("dirformat", "", "directory wire format: full (default), limited:i, or coarse:K")
-		shards       = flag.Int("shards", 0, "parallel scheduler home shards (0 = GOMAXPROCS)")
-		lookahead    = flag.Uint64("lookahead", 0, "parallel scheduler safe-window cap in cycles (0 = uncapped)")
-		fuse         = flag.Uint64("fuse", 0, "parallel scheduler fused-streak op cap (0 = default 1024; 1 disables fusion)")
 		checkLevel   = flag.String("check", "off", "online coherence invariant checking: off, touched, full")
 		faults       = flag.String("faults", "", "inject protocol/message faults: class[@arg][:seed],... (see lsnuma.Config.Faults)")
 		mshrs        = flag.Int("mshrs", 0, "per-home directory transaction buffers (0 = unlimited)")
@@ -89,11 +85,7 @@ func main() {
 		cfg.L2.Size = *l2Size
 	}
 	cfg.TrackFalseSharing = *falseShare
-	cfg.SerialSchedule = *serial
 	cfg.Scheduler = *scheduler
-	cfg.Shards = *shards
-	cfg.Lookahead = *lookahead
-	cfg.Fuse = *fuse
 	cfg.DirFormat = *dirformat
 	if cfg.Check, err = lsnuma.ParseCheckLevel(*checkLevel); err != nil {
 		fatal(err)

@@ -48,10 +48,7 @@ func main() {
 		faults       = flag.String("faults", "", "inject protocol/message faults into every cell: class[@arg][:seed],...")
 		mshrs        = flag.Int("mshrs", 0, "per-home directory transaction buffers (0 = unlimited)")
 		retry        = flag.String("retry", "", "NACK/loss retry policy: max:N,base:C,cap:C,jitter:S (empty = retries off)")
-		scheduler    = flag.String("scheduler", "", "scheduler for every cell: runahead (default), serial, or parallel")
-		shards       = flag.Int("shards", 0, "parallel scheduler home shards (0 = GOMAXPROCS)")
-		lookahead    = flag.Uint64("lookahead", 0, "parallel scheduler safe-window cap in cycles (0 = uncapped)")
-		fuse         = flag.Uint64("fuse", 0, "parallel scheduler fused-streak op cap (0 = default 1024; 1 disables fusion)")
+		scheduler    = flag.String("scheduler", "", "scheduler for every cell: runahead (default) or serial")
 		cpus         = flag.Int("cpus", 0, "processor count for every cell (0 = workload default; the nodes sweep overrides this)")
 		dirformat    = flag.String("dirformat", "", "directory wire format: full (default), limited:i, or coarse:K")
 		cacheFlag    = flag.Bool("cache", false, "memoize point results in the persistent result cache (default dir .lscache)")
@@ -98,9 +95,6 @@ func main() {
 	base.DirMSHRs = *mshrs
 	base.Retry = *retry
 	base.Scheduler = *scheduler
-	base.Shards = *shards
-	base.Lookahead = *lookahead
-	base.Fuse = *fuse
 	if *cpus > 0 {
 		base.Nodes = *cpus
 	}

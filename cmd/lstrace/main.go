@@ -38,10 +38,7 @@ func main() {
 	)
 	flag.StringVar(&checkFlag, "check", "off", "online coherence invariant checking: off, touched, full")
 	flag.StringVar(&faultsFlag, "faults", "", "inject a protocol fault: class[@afterOp][:seed]")
-	flag.StringVar(&schedFlag, "scheduler", "", "scheduler for replay: runahead (default), serial, or parallel (capture always records serially)")
-	flag.IntVar(&shardsFlag, "shards", 0, "parallel scheduler home shards (0 = GOMAXPROCS)")
-	flag.Uint64Var(&lookFlag, "lookahead", 0, "parallel scheduler safe-window cap in cycles (0 = uncapped)")
-	flag.Uint64Var(&fuseFlag, "fuse", 0, "parallel scheduler fused-streak op cap (0 = default 1024; 1 disables fusion)")
+	flag.StringVar(&schedFlag, "scheduler", "", "scheduler for replay: runahead (default) or serial (capture always records serially)")
 	flag.StringVar(&dirfmtFlag, "dirformat", "", "directory wire format: full (default), limited:i, or coarse:K")
 	flag.Parse()
 	if *showVersion {
@@ -71,9 +68,6 @@ var (
 	checkFlag  string
 	faultsFlag string
 	schedFlag  string
-	shardsFlag int
-	lookFlag   uint64
-	fuseFlag   uint64
 	dirfmtFlag string
 )
 
@@ -92,9 +86,6 @@ func buildMachine(workloadName, protoName string) (*engine.Machine, error) {
 	cfg.Check = check
 	cfg.Faults = faultsFlag
 	cfg.Scheduler = schedFlag
-	cfg.Shards = shardsFlag
-	cfg.Lookahead = lookFlag
-	cfg.Fuse = fuseFlag
 	cfg.DirFormat = dirfmtFlag
 	return lsnuma.NewEngineMachine(cfg)
 }

@@ -154,35 +154,11 @@ type Config struct {
 	RelaxedWrites bool
 	// MaxCycles aborts runaway runs; zero applies a generous default.
 	MaxCycles uint64
-	// SerialSchedule forces the per-access handshake scheduler instead of
-	// the default run-ahead handoff scheduler. The two produce
-	// bit-identical results; the serial path exists for differential
-	// testing and debugging (see internal/engine.Config.SerialSchedule).
-	SerialSchedule bool
 	// Scheduler selects the discrete-event scheduler: "runahead" (or
-	// empty, the default), "serial", or "parallel" — the conservative
-	// parallel scheduler that shards directory homes across host cores
-	// and services independent operations concurrently within
-	// Chandy–Misra safe windows. All three produce byte-identical
-	// Results; "parallel" silently degrades to run-ahead when a feature
-	// incompatible with concurrent service is enabled (fault injection,
-	// false-sharing tracking, op recording, the map directory).
-	// SerialSchedule=true overrides this field (back compatibility).
+	// empty, the default handoff scheduler) or "serial" (the per-access
+	// handshake reference scheduler, for differential testing and
+	// debugging). Both produce byte-identical Results.
 	Scheduler string
-	// Shards is the number of home shards (worker lanes) for the
-	// parallel scheduler; zero picks GOMAXPROCS, clamped to the node
-	// count. Results are identical for every shard count.
-	Shards int
-	// Lookahead caps the per-operation conservative latency bound of the
-	// parallel scheduler in cycles (zero = uncapped). Smaller windows
-	// reduce batch sizes; results are unaffected. Mostly a tuning and
-	// testing knob.
-	Lookahead uint64
-	// Fuse caps how many operations the parallel scheduler may service
-	// in one fused batch streak before resuming the serviced processors
-	// (zero = default 1024; 1 disables fusion). Results are identical
-	// for every value; purely an amortization/latency knob.
-	Fuse uint64
 	// Check runs the coherence invariant checker online ("" or CheckOff
 	// disables it). Checking is side-effect free: simulated Results are
 	// byte-identical with it on or off; a violation aborts the run with a
@@ -227,7 +203,7 @@ type Config struct {
 	// MapDirectory selects the original map-backed directory storage
 	// instead of the default flat paged layout. Simulated results are
 	// bit-identical either way; the map path exists for differential
-	// testing (like SerialSchedule for the scheduler) and costs roughly a
+	// testing (like the serial scheduler) and costs roughly a
 	// third of the simulator's throughput.
 	MapDirectory bool
 }
@@ -332,11 +308,7 @@ func (c Config) engineConfig() (engine.Config, error) {
 		SoftwareExclusive: softwareExclusive,
 		RelaxedWrites:     c.RelaxedWrites,
 		MaxCycles:         maxCycles,
-		SerialSchedule:    c.SerialSchedule,
 		Sched:             sched,
-		Shards:            c.Shards,
-		Lookahead:         c.Lookahead,
-		FuseLimit:         c.Fuse,
 		CheckLevel:        level,
 		CheckInterval:     c.CheckInterval,
 		FaultInjector:     injector,

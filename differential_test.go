@@ -1,15 +1,13 @@
 package lsnuma
 
-// Differential determinism tests for the run-ahead handoff scheduler and
-// the conservative parallel scheduler: every workload × protocol
-// combination must export byte-identical Results under
-// Config.SerialSchedule, under the default run-ahead scheduler, and
-// under Scheduler="parallel" at every shard count. The serial per-access
-// handshake scheduler is the reference semantics; the other two claim to
-// service operations in exactly the same order, and these tests hold
-// them to that across the full workload matrix, including the 16- and
-// 32-processor Figure 5 configurations, the micro kernels, online
-// checking, and lossy-interconnect runs.
+// Differential determinism tests for the run-ahead handoff scheduler:
+// every workload × protocol combination must export byte-identical
+// Results under Scheduler="serial" and under the default run-ahead
+// scheduler. The serial per-access handshake scheduler is the reference
+// semantics; run-ahead claims to service operations in exactly the same
+// order, and these tests hold it to that across the full workload
+// matrix, including the 16- and 32-processor Figure 5 configurations,
+// the micro kernels and online checking.
 
 import (
 	"bytes"
@@ -29,16 +27,25 @@ func exportJSON(t *testing.T, res *Result) []byte {
 	return buf.Bytes()
 }
 
+// schedulerName maps the tests' serial flag to a Config.Scheduler value
+// ("" is the default run-ahead scheduler).
+func schedulerName(serial bool) string {
+	if serial {
+		return "serial"
+	}
+	return ""
+}
+
 // runBoth runs the same point under both schedulers and fails unless the
 // exported Results match byte for byte.
 func runBoth(t *testing.T, cfg Config, run func(Config) (*Result, error)) {
 	t.Helper()
-	cfg.SerialSchedule = true
+	cfg.Scheduler = "serial"
 	serial, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.SerialSchedule = false
+	cfg.Scheduler = ""
 	ahead, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +142,7 @@ func TestCheckedMatrix(t *testing.T) {
 				for _, serial := range []bool{false, true} {
 					for _, level := range levels {
 						c := cfg
-						c.SerialSchedule = serial
+						c.Scheduler = schedulerName(serial)
 						c.Check = level
 						res, err := Run(c, w, ScaleTest)
 						if err != nil {
@@ -149,148 +156,6 @@ func TestCheckedMatrix(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// parShards are the shard counts the parallel-scheduler matrix exercises:
-// degenerate (1), even (2), and one that does not divide any of the node
-// counts (7), so the home→shard mapping wraps unevenly.
-var parShards = []int{1, 2, 7}
-
-// runParallel runs the same point under the serial reference scheduler and
-// under the parallel scheduler at every shard count in parShards, and
-// fails unless each exported Result matches the reference byte for byte.
-func runParallel(t *testing.T, cfg Config, run func(Config) (*Result, error)) {
-	t.Helper()
-	ref := cfg
-	ref.SerialSchedule = true
-	serial, err := run(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sj := exportJSON(t, serial)
-	for _, shards := range parShards {
-		c := cfg
-		c.SerialSchedule = false
-		c.Scheduler = "parallel"
-		c.Shards = shards
-		par, err := run(c)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if pj := exportJSON(t, par); !bytes.Equal(sj, pj) {
-			t.Errorf("parallel (shards=%d) diverges from serial:\nserial:   %s\nparallel: %s",
-				shards, sj, pj)
-		}
-	}
-}
-
-// TestParallelWorkloadsMatrix holds the conservative parallel scheduler to
-// byte-identical Results against the serial reference across the full
-// workload × protocol matrix, at every shard count in parShards.
-func TestParallelWorkloadsMatrix(t *testing.T) {
-	for _, w := range Workloads() {
-		for _, p := range Protocols() {
-			w, p := w, p
-			t.Run(fmt.Sprintf("%s/%s", w, p), func(t *testing.T) {
-				t.Parallel()
-				cfg := DefaultConfig()
-				if w == "oltp" {
-					cfg = OLTPConfig()
-				}
-				cfg.Protocol = p
-				runParallel(t, cfg, func(c Config) (*Result, error) {
-					return Run(c, w, ScaleTest)
-				})
-			})
-		}
-	}
-}
-
-// TestParallelScalingMatrix covers the deep-heap configurations: 4, 16 and
-// 32 processors, where batches actually grow past a handful of operations.
-func TestParallelScalingMatrix(t *testing.T) {
-	for _, nodes := range []int{4, 16, 32} {
-		for _, p := range Protocols() {
-			nodes, p := nodes, p
-			t.Run(fmt.Sprintf("cholesky-%dcpu/%s", nodes, p), func(t *testing.T) {
-				t.Parallel()
-				cfg := DefaultConfig()
-				cfg.Nodes = nodes
-				cfg.Protocol = p
-				runParallel(t, cfg, func(c Config) (*Result, error) {
-					return Run(c, "cholesky", ScaleTest)
-				})
-			})
-		}
-	}
-}
-
-// TestParallelCheckedMatrix runs the parallel scheduler with the online
-// coherence checker enabled (per-shard scoped checkers plus the
-// coordinator's full sweeps) and requires Results byte-identical to the
-// unchecked serial run — the checker's no-perturbation contract must
-// survive concurrent service.
-func TestParallelCheckedMatrix(t *testing.T) {
-	levels := []CheckLevel{CheckTouched}
-	if !testing.Short() {
-		levels = append(levels, CheckFull)
-	}
-	for _, w := range Workloads() {
-		w := w
-		t.Run(w, func(t *testing.T) {
-			t.Parallel()
-			cfg := DefaultConfig()
-			if w == "oltp" {
-				cfg = OLTPConfig()
-			}
-			cfg.Protocol = LS
-			ref := cfg
-			ref.SerialSchedule = true
-			serial, err := Run(ref, w, ScaleTest)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sj := exportJSON(t, serial)
-			for _, level := range levels {
-				for _, shards := range parShards {
-					c := cfg
-					c.Scheduler = "parallel"
-					c.Shards = shards
-					c.Check = level
-					par, err := Run(c, w, ScaleTest)
-					if err != nil {
-						t.Fatalf("check=%s shards=%d: %v", level, shards, err)
-					}
-					if pj := exportJSON(t, par); !bytes.Equal(sj, pj) {
-						t.Errorf("check=%s shards=%d diverges from unchecked serial:\nserial:   %s\nparallel: %s",
-							level, shards, sj, pj)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestParallelFaultyMatrix runs the parallel scheduler on a lossy,
-// reordering interconnect. Message faults force every global operation
-// onto the coordinator (the fault layer's verdict stream is order-
-// dependent), so this certifies the degraded path still matches the
-// serial reference byte for byte, retries and all.
-func TestParallelFaultyMatrix(t *testing.T) {
-	specs := []string{"drop-msg@1e-3:7", "reorder-msg@1e-3:9", "drop-msg@1e-3,reorder-msg@1e-4:5"}
-	for _, spec := range specs {
-		spec := spec
-		t.Run(spec, func(t *testing.T) {
-			t.Parallel()
-			cfg := DefaultConfig()
-			cfg.Protocol = LS
-			cfg.Faults = spec
-			cfg.Retry = "max:16"
-			runParallel(t, cfg, func(c Config) (*Result, error) {
-				return Run(c, "mp3d", ScaleTest)
-			})
-		})
 	}
 }
 

@@ -115,11 +115,10 @@ func TestDirFormatCounters(t *testing.T) {
 	}
 }
 
-// TestDirFormatParallel certifies the compact formats under the parallel
-// scheduler: the per-lane Dir counters must merge to exactly the serial
-// run's totals, and everything else must stay byte-identical, at every
-// shard count.
-func TestDirFormatParallel(t *testing.T) {
+// TestDirFormatSchedulers certifies the compact formats' Dir counters
+// under both schedulers: a run-ahead Result, Dir block included, must
+// match the serial reference byte for byte.
+func TestDirFormatSchedulers(t *testing.T) {
 	for _, format := range dirFormats {
 		format := format
 		t.Run(format, func(t *testing.T) {
@@ -128,26 +127,9 @@ func TestDirFormatParallel(t *testing.T) {
 			cfg.Nodes = 16
 			cfg.Protocol = LS
 			cfg.DirFormat = format
-			ref := cfg
-			ref.SerialSchedule = true
-			serial, err := Run(ref, "cholesky", ScaleTest)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sj := exportJSON(t, serial)
-			for _, shards := range parShards {
-				c := cfg
-				c.Scheduler = "parallel"
-				c.Shards = shards
-				par, err := Run(c, "cholesky", ScaleTest)
-				if err != nil {
-					t.Fatalf("shards=%d: %v", shards, err)
-				}
-				if pj := exportJSON(t, par); !bytes.Equal(sj, pj) {
-					t.Errorf("parallel (shards=%d, %s) diverges from serial:\nserial:   %s\nparallel: %s",
-						shards, format, sj, pj)
-				}
-			}
+			runBoth(t, cfg, func(c Config) (*Result, error) {
+				return Run(c, "cholesky", ScaleTest)
+			})
 		})
 	}
 }

@@ -53,7 +53,7 @@ func TestFlatVsMapMatrix(t *testing.T) {
 						cfg = OLTPConfig()
 					}
 					cfg.Protocol = p
-					cfg.SerialSchedule = serial
+					cfg.Scheduler = schedulerName(serial)
 					runFlatMap(t, cfg, func(c Config) (*Result, error) {
 						return Run(c, w, ScaleTest)
 					})

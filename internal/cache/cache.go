@@ -227,21 +227,6 @@ func (c *Cache) Insert(block memory.Addr, s State) (Victim, bool) {
 	return v, true
 }
 
-// SetBlocks calls yield for every resident line of the set that block
-// maps to, without touching LRU state, and reports whether the walk ran
-// to completion (yield returning false stops it early). The parallel
-// scheduler uses it to bound the replacement traffic a miss could
-// generate: any victim of a fill of block is one of these lines.
-func (c *Cache) SetBlocks(block memory.Addr, yield func(memory.Addr) bool) bool {
-	set := c.set(block)
-	for i := range set {
-		if set[i].state != Invalid && !yield(set[i].block) {
-			return false
-		}
-	}
-	return true
-}
-
 // Resident returns the blocks currently cached, in no particular order.
 // Intended for tests and invariant checks.
 func (c *Cache) Resident() []Victim {

@@ -206,12 +206,6 @@ func (h *Hierarchy) Fill(block memory.Addr, s State) (Victim, bool) {
 	return v, evicted
 }
 
-// L2SetBlocks walks the resident lines of the L2 set that block maps to
-// (see Cache.SetBlocks): the candidate victims of a Fill of block.
-func (h *Hierarchy) L2SetBlocks(block memory.Addr, yield func(memory.Addr) bool) bool {
-	return h.l2.SetBlocks(block, yield)
-}
-
 // Upgrade completes an ownership acquisition: the Shared copy becomes
 // Modified in both levels. It panics if the copy vanished (the engine must
 // re-issue the access as a write miss if the copy was invalidated while

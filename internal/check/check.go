@@ -112,32 +112,12 @@ type Checker struct {
 	layout memory.Layout
 	dir    *directory.Directory
 	caches []*cache.Hierarchy
-
-	// scope, when non-zero, restricts cache probing to the named nodes:
-	// out-of-scope hierarchies are neither probed nor expected (the ghost
-	// check skips holders outside the scope). The parallel scheduler gives
-	// each shard a scoped checker so concurrent per-shard checking never
-	// reads another shard's LRU-mutating cache arrays; the merge pass at
-	// epoch boundaries (and the end-of-run sweep) runs the full-scope
-	// checker. A zero scope means all nodes.
-	scope directory.Bitset
 }
 
 // New builds a checker over the given directory and per-node hierarchies
 // (index = node ID).
 func New(layout memory.Layout, dir *directory.Directory, caches []*cache.Hierarchy) *Checker {
 	return &Checker{layout: layout, dir: dir, caches: caches}
-}
-
-// NewScoped builds a checker restricted to the nodes in scope (see the
-// scope field). A zero scope behaves like New.
-func NewScoped(layout memory.Layout, dir *directory.Directory, caches []*cache.Hierarchy, scope directory.Bitset) *Checker {
-	return &Checker{layout: layout, dir: dir, caches: caches, scope: scope}
-}
-
-// inScope reports whether node i's cache may be probed by this checker.
-func (c *Checker) inScope(i int) bool {
-	return c.scope.Empty() || c.scope.Has(memory.NodeID(i))
 }
 
 // violation builds a fully described CoherenceViolation for block.
@@ -157,9 +137,6 @@ func (c *Checker) describe(block memory.Addr) string {
 	b.WriteString("caches:")
 	any := false
 	for i, h := range c.caches {
-		if !c.inScope(i) {
-			continue
-		}
 		s2 := h.State(block)
 		l1 := h.L1().Probe(block)
 		if s2 == cache.Invalid && l1 == cache.Invalid {
@@ -189,9 +166,6 @@ func (c *Checker) CheckBlock(addr memory.Addr, cycle uint64) error {
 	block := c.layout.Block(addr)
 	var copies, excl int
 	for i, h := range c.caches {
-		if !c.inScope(i) {
-			continue
-		}
 		s2 := h.State(block)
 		l1 := h.L1().Probe(block)
 		if s2 == cache.Invalid {
@@ -227,9 +201,6 @@ func (c *Checker) CheckBlock(addr memory.Addr, cycle uint64) error {
 		return c.violation("home-state", block, cycle, "%v", err)
 	}
 	for i, h := range c.caches {
-		if !c.inScope(i) {
-			continue
-		}
 		n := memory.NodeID(i)
 		switch h.State(block) {
 		case cache.Modified:
@@ -251,9 +222,6 @@ func (c *Checker) CheckBlock(addr memory.Addr, cycle uint64) error {
 	}
 	var ghost memory.NodeID = memory.NoNode
 	e.Holders().ForEach(func(n memory.NodeID) {
-		if !c.inScope(int(n)) {
-			return
-		}
 		if c.caches[n].State(block) == cache.Invalid && ghost == memory.NoNode {
 			ghost = n
 		}

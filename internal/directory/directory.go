@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sync/atomic"
 
 	"lsnuma/internal/memory"
 )
@@ -191,23 +190,6 @@ func (b Bitset) Other(n memory.NodeID) memory.NodeID {
 	return other
 }
 
-// SubsetOf reports whether every member of b is also in o.
-func (b Bitset) SubsetOf(o Bitset) bool {
-	if b.lo&^o.lo != 0 {
-		return false
-	}
-	for i, w := range b.ext {
-		var ow uint64
-		if i < len(o.ext) {
-			ow = o.ext[i]
-		}
-		if w&^ow != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // ForEach calls fn for every member in ascending order.
 func (b Bitset) ForEach(fn func(memory.NodeID)) {
 	v := b.lo
@@ -346,15 +328,7 @@ type Directory struct {
 	pages     []*page
 	pageShift uint   // log2(entries per page)
 	pageMask  uint64 // entries per page - 1
-	count     int64
-
-	// shared marks concurrent-access mode (the parallel scheduler's
-	// phases): presence words and the entry count go through atomics so a
-	// shard first-touching an entry cannot race another shard reading a
-	// different bit of the same presence word. Entry contents themselves
-	// need no atomics — shard confinement guarantees a single writer, and
-	// cross-shard readers only see quiescent entries.
-	shared bool
+	count     int
 
 	// Legacy map backend (used when entries != nil).
 	entries map[uint64]*Entry
@@ -423,22 +397,6 @@ func (d *Directory) Entry(block memory.Addr) *Entry {
 	off := idx & d.pageMask
 	e := &pg.entries[off]
 	w, bit := off>>6, off&63
-	if d.shared {
-		// Single writer per presence word (shard confinement), but other
-		// shards may concurrently load the word for neighbouring bits, so
-		// the read-modify-write goes through atomics. The release store
-		// also publishes the entry initialization below it.
-		word := atomic.LoadUint64(&pg.present[w])
-		if word&(1<<bit) == 0 {
-			e.Owner, e.LR, e.LastWriter = memory.NoNode, memory.NoNode, memory.NoNode
-			if d.init != nil {
-				d.init(e)
-			}
-			atomic.StoreUint64(&pg.present[w], word|1<<bit)
-			atomic.AddInt64(&d.count, 1)
-		}
-		return e
-	}
 	if pg.present[w]&(1<<bit) == 0 {
 		pg.present[w] |= 1 << bit
 		e.Owner, e.LR, e.LastWriter = memory.NoNode, memory.NoNode, memory.NoNode
@@ -465,11 +423,7 @@ func (d *Directory) Lookup(block memory.Addr) (*Entry, bool) {
 	}
 	pg := d.pages[pi]
 	off := idx & d.pageMask
-	if d.shared {
-		if atomic.LoadUint64(&pg.present[off>>6])&(1<<(off&63)) == 0 {
-			return nil, false
-		}
-	} else if pg.present[off>>6]&(1<<(off&63)) == 0 {
+	if pg.present[off>>6]&(1<<(off&63)) == 0 {
 		return nil, false
 	}
 	return &pg.entries[off], true
@@ -480,37 +434,8 @@ func (d *Directory) Len() int {
 	if d.entries != nil {
 		return len(d.entries)
 	}
-	return int(d.count)
+	return d.count
 }
-
-// Grow pre-extends the page spine and allocates every directory page
-// covering blocks below limit, so concurrent Entry calls during the
-// parallel scheduler's batch rounds neither append to the spine nor race
-// to allocate a page (a page may span several memory pages and therefore
-// several shards; pre-allocating removes the only cross-shard write to
-// the spine). Flat backend only; the map backend is excluded from
-// parallel scheduling.
-func (d *Directory) Grow(limit memory.Addr) {
-	if d.entries != nil || limit == 0 {
-		return
-	}
-	idx := uint64(limit-1) >> d.blockShift
-	pi := idx >> d.pageShift
-	if pi >= uint64(len(d.pages)) {
-		d.pages = append(d.pages, make([]*page, pi+1-uint64(len(d.pages)))...)
-	}
-	per := d.pageMask + 1
-	for i := uint64(0); i <= pi; i++ {
-		if d.pages[i] == nil {
-			d.pages[i] = &page{present: make([]uint64, per/64), entries: make([]Entry, per)}
-		}
-	}
-}
-
-// SetShared switches concurrent-access mode on or off (see the shared
-// field). The parallel scheduler enables it for the duration of a run and
-// disables it before handing the machine back.
-func (d *Directory) SetShared(v bool) { d.shared = v }
 
 // ForEach visits every entry in ascending block order. The ordering is a
 // contract: repro-bundle snapshots, check reports and fault-target

@@ -20,7 +20,7 @@ func checkedConfig(kind protocol.Kind, level check.Level, serial bool) Config {
 	cfg := testConfig(kind, protocol.Variant{})
 	cfg.CheckLevel = level
 	cfg.CheckInterval = 64
-	cfg.SerialSchedule = serial
+	cfg.Sched = schedOf(serial)
 	return cfg
 }
 

@@ -70,7 +70,7 @@ func (t Timing) Validate() error {
 	return nil
 }
 
-// Sched selects which scheduler drives the simulation. All three produce
+// Sched selects which scheduler drives the simulation. Both produce
 // byte-identical Results; they differ only in host-side execution
 // strategy.
 type Sched uint8
@@ -79,18 +79,10 @@ const (
 	// SchedRunAhead is the default conch-handoff scheduler with run-ahead
 	// leases (see Machine.schedule).
 	SchedRunAhead Sched = iota
-	// SchedSerial is the per-access handshake reference scheduler,
-	// equivalent to Config.SerialSchedule.
+	// SchedSerial is the per-access handshake reference scheduler (see
+	// Machine.scheduleSerial): every memory operation round-trips through
+	// the central scheduler, as the engine originally worked.
 	SchedSerial
-	// SchedParallel is the conservative parallel discrete-event scheduler:
-	// directory homes (and the processors co-numbered with them) are
-	// partitioned into shards, each driven by a worker goroutine inside
-	// Chandy–Misra safe time windows; cross-shard transactions serialize
-	// at barrier epochs (see Machine.scheduleParallel). Falls back to
-	// run-ahead when a configuration is incompatible (recorders, protocol
-	// fault injectors, false-sharing tracking, RecordOps, MapDirectory, or
-	// a zero L1 access time).
-	SchedParallel
 )
 
 func (s Sched) String() string {
@@ -99,25 +91,21 @@ func (s Sched) String() string {
 		return "runahead"
 	case SchedSerial:
 		return "serial"
-	case SchedParallel:
-		return "parallel"
 	default:
 		return fmt.Sprintf("Sched(%d)", uint8(s))
 	}
 }
 
-// ParseSched converts a scheduler name ("", "runahead", "serial",
-// "parallel"; "" means runahead) to a Sched.
+// ParseSched converts a scheduler name ("", "runahead", "serial"; ""
+// means runahead) to a Sched.
 func ParseSched(s string) (Sched, error) {
 	switch s {
 	case "", "runahead":
 		return SchedRunAhead, nil
 	case "serial":
 		return SchedSerial, nil
-	case "parallel":
-		return SchedParallel, nil
 	default:
-		return SchedRunAhead, fmt.Errorf("engine: unknown scheduler %q (want runahead, serial, parallel)", s)
+		return SchedRunAhead, fmt.Errorf("engine: unknown scheduler %q (want runahead, serial)", s)
 	}
 }
 
@@ -148,14 +136,6 @@ type Config struct {
 	// MaxCycles aborts a run whose processors exceed this many cycles
 	// (a guard against livelocked workloads). Zero means no limit.
 	MaxCycles uint64
-	// SerialSchedule forces the per-access handshake scheduler: every
-	// memory operation round-trips through the central scheduler, as the
-	// engine originally worked. The default run-ahead scheduler instead
-	// leases processors the right to service local hits inline (see
-	// Machine.schedule); the two produce bit-identical results — the
-	// serial path is kept for differential testing, and is used
-	// automatically when a trace recorder is installed.
-	SerialSchedule bool
 	// SoftwareExclusive honours exclusive-read annotations (Proc.ReadEx
 	// and the load half of RMW): the read request is combined with the
 	// ownership acquisition at the annotated sites, modelling the static
@@ -215,32 +195,14 @@ type Config struct {
 	// MapDirectory selects the seed's map[uint64]*Entry directory storage
 	// instead of the default flat paged layout. The two are bit-identical
 	// in simulated behaviour; the map path is kept for differential
-	// testing, like SerialSchedule for the scheduler.
+	// testing, like SchedSerial for the scheduler.
 	MapDirectory bool
-	// Sched selects the scheduler (run-ahead, serial, parallel). All
-	// produce byte-identical Results. SerialSchedule=true and an installed
-	// recorder both force SchedSerial regardless of this field.
+	// Sched selects the scheduler: the default run-ahead scheduler, which
+	// leases processors the right to service local hits inline (see
+	// Machine.schedule), or the serial reference. Both produce
+	// byte-identical Results. An installed trace recorder forces
+	// SchedSerial regardless of this field.
 	Sched Sched
-	// Shards is the parallel scheduler's home-shard count: directory homes
-	// (and the processors co-numbered with them) are partitioned
-	// round-robin into this many worker-driven shards. Zero means one
-	// shard per host core (GOMAXPROCS), clamped to the node count. Ignored
-	// outside SchedParallel.
-	Shards int
-	// Lookahead, when non-zero, caps the parallel scheduler's per-op
-	// clock-advance bound at this many cycles. The automatic bounds
-	// (cache/controller latencies plus the network's minimum cross-node
-	// latency) are already safe; a cap only narrows the safe windows, so
-	// this is a conservativeness/debugging knob, not a correctness one.
-	// Ignored outside SchedParallel.
-	Lookahead uint64
-	// FuseLimit caps how many operations the parallel scheduler may
-	// service in one fused batch streak before it must resume the
-	// serviced processors. Zero means the default (1024); 1 disables
-	// round fusion (one sub-batch per streak). Results are byte-identical
-	// for every value — the limit only trades resume-phase amortization
-	// against streak latency. Ignored outside SchedParallel.
-	FuseLimit uint64
 	// DirFormat selects the directory's wire format: full presence map
 	// (the default and the differential oracle), limited-pointer Dir_i_B,
 	// or coarse vector. The simulator always tracks the exact sharer set,
@@ -255,7 +217,7 @@ type Config struct {
 // invalidated automatically when an engine change could alter any Result
 // field. Bump it in any PR that changes simulated timing, protocol
 // behaviour, or Result contents.
-const SchemaVersion = 8
+const SchemaVersion = 9
 
 // Validate checks the machine configuration.
 func (c Config) Validate() error {
@@ -270,6 +232,9 @@ func (c Config) Validate() error {
 	}
 	if c.L1.BlockSize != c.L2.BlockSize {
 		return fmt.Errorf("engine: L1 block size %d != L2 block size %d", c.L1.BlockSize, c.L2.BlockSize)
+	}
+	if c.L1.Size > c.L2.Size {
+		return fmt.Errorf("engine: L1 size %d exceeds L2 size %d (inclusion)", c.L1.Size, c.L2.Size)
 	}
 	if c.PageSize == 0 || c.PageSize&(c.PageSize-1) != 0 {
 		return fmt.Errorf("engine: page size %d not a power of two", c.PageSize)
@@ -286,11 +251,8 @@ func (c Config) Validate() error {
 	if c.DirMSHRs < 0 {
 		return fmt.Errorf("engine: negative directory MSHR count %d", c.DirMSHRs)
 	}
-	if c.Sched > SchedParallel {
+	if c.Sched > SchedSerial {
 		return fmt.Errorf("engine: unknown scheduler %d", c.Sched)
-	}
-	if c.Shards < 0 || c.Shards > MaxShards {
-		return fmt.Errorf("engine: shard count %d outside 0..%d", c.Shards, MaxShards)
 	}
 	if err := c.Retry.Validate(); err != nil {
 		return err

@@ -56,6 +56,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.L1.BlockSize = 32 },
 		func(c *Config) { c.L1.Size = 0 },
 		func(c *Config) { c.L2.Size = 0 },
+		func(c *Config) { c.L1.Size = 2 * c.L2.Size }, // breaks inclusion
 		func(c *Config) { c.PageSize = 1000 },
 		func(c *Config) { c.PageSize = 0 },
 		func(c *Config) { c.PageSize = 8 },

@@ -9,14 +9,6 @@ package engine
 // the backing slice preallocated — never allocates on the hot path.
 type opHeap struct {
 	a []*op
-
-	// onPush/onPop, when non-nil, observe every heap insertion/removal.
-	// The parallel scheduler installs them so its incremental safe-window
-	// state (parWindow) tracks exactly the parked operations: push
-	// registers a freshly computed bound, pop retires it. Nil under the
-	// serial and run-ahead schedulers.
-	onPush func(*op)
-	onPop  func(*op)
 }
 
 // opBefore is the scheduler's total service order over pending ops.
@@ -34,9 +26,6 @@ func (h *opHeap) min() *op {
 
 // push adds a pending op.
 func (h *opHeap) push(o *op) {
-	if h.onPush != nil {
-		h.onPush(o)
-	}
 	h.a = append(h.a, o)
 	i := len(h.a) - 1
 	for i > 0 {
@@ -56,9 +45,6 @@ func (h *opHeap) pop() *op {
 		return nil
 	}
 	top := h.a[0]
-	if h.onPop != nil {
-		h.onPop(top)
-	}
 	n--
 	h.a[0] = h.a[n]
 	h.a[n] = nil

@@ -57,8 +57,8 @@ type Machine struct {
 	live int        // processors whose programs have not finished
 	done chan error // handoff scheduler's completion signal to Run
 
-	// serial selects the per-access handshake scheduler (SerialSchedule
-	// or an installed recorder); set once before the goroutines start.
+	// serial selects the per-access handshake scheduler (SchedSerial or
+	// an installed recorder); set once before the goroutines start.
 	serial bool
 
 	// aborted is set (once) by drain/abortConch after a scheduler error;
@@ -87,22 +87,13 @@ type Machine struct {
 	ringPos    int
 	ringLen    int
 	servicing  *op
-
-	// coord is the coordinator servicing lane (stats, network sink,
-	// checker, per-op hook state): the only lane under the serial and
-	// run-ahead schedulers, and the quiescent-phase lane of the parallel
-	// scheduler, whose shard workers get lanes of their own (see par.go).
-	coord *lane
-	// par and park exist only for the duration of a parallel Run: the
-	// shard/window state, and the channel active processors park on (the
-	// coordinator owns the conch permanently there, so the handoff path's
-	// heap-push protocol does not apply).
-	par  *parSched
-	park chan event
-	// winTrack arms the incremental safe window's dirty-event queues
-	// (Machine.noteDirty) for the duration of a parallel run; off
-	// everywhere else so the other schedulers pay one boolean test.
-	winTrack bool
+	// touched queues the blocks the current operation mutated for the
+	// post-operation invariant check (checker only); opCount counts
+	// serviced operations; sinceSweep counts operations since the last
+	// full sweep under check.Full.
+	touched    []memory.Addr
+	opCount    uint64
+	sinceSweep uint64
 
 	// resil is the resilient transaction layer (finite home buffers,
 	// NACK/retry, message-fault recovery, forward-progress watchdog);
@@ -240,15 +231,13 @@ func NewMachine(cfg Config) (*Machine, error) {
 	if cfg.TrackFalseSharing {
 		m.fs = classify.NewFalseSharing(layout, cfg.Nodes)
 	}
-	m.coord = &lane{st: st, net: nw, isCoord: true}
 	if cfg.CheckLevel > check.Off {
 		m.checker = check.New(layout, m.dir, m.hierarchies())
 		m.checkEvery = cfg.CheckInterval
 		if m.checkEvery == 0 {
 			m.checkEvery = 4096
 		}
-		m.coord.checker = m.checker
-		m.coord.touched = make([]memory.Addr, 0, 8)
+		m.touched = make([]memory.Addr, 0, 8)
 	}
 	m.faults = cfg.FaultInjector
 	if cfg.RecordOps > 0 {
@@ -311,15 +300,13 @@ func (m *Machine) Reset(cfg Config) error {
 		m.fs = classify.NewFalseSharing(m.layout, cfg.Nodes)
 	}
 	m.checker, m.checkEvery = nil, 0
-	m.coord = &lane{st: m.st, net: m.net, isCoord: true}
+	m.touched, m.opCount, m.sinceSweep = m.touched[:0], 0, 0
 	if cfg.CheckLevel > check.Off {
 		m.checker = check.New(m.layout, m.dir, m.hierarchies())
 		m.checkEvery = cfg.CheckInterval
 		if m.checkEvery == 0 {
 			m.checkEvery = 4096
 		}
-		m.coord.checker = m.checker
-		m.coord.touched = make([]memory.Addr, 0, 8)
 	}
 	m.faults = nil
 	m.ring, m.ringPos, m.ringLen = nil, 0, 0
@@ -344,10 +331,6 @@ func (m *Machine) Reset(cfg Config) error {
 	m.recorder = nil
 	m.servicing = nil
 	m.split = m.split[:0]
-	m.par = nil
-	m.park = nil
-	m.winTrack = false
-	m.h.onPush, m.h.onPop = nil, nil
 	return nil
 }
 
@@ -392,7 +375,7 @@ func (m *Machine) Hierarchy(n memory.NodeID) *cache.Hierarchy { return m.nodes[n
 func (m *Machine) SetRecorder(fn func(OpRecord)) { m.recorder = fn }
 
 // RunAheadOps returns the number of operations serviced inline under a
-// run-ahead lease (zero under Config.SerialSchedule or a recorder).
+// run-ahead lease (zero under SchedSerial or a recorder).
 func (m *Machine) RunAheadOps() uint64 { return m.runAheadOps }
 
 // LastOps returns the crash-diagnostics ring (Config.RecordOps) in
@@ -425,18 +408,7 @@ func (m *Machine) Run(programs []Program) error {
 	}
 	m.events = make(chan event)
 	m.done = make(chan error)
-	m.serial = m.cfg.SerialSchedule || m.recorder != nil || m.cfg.Sched == SchedSerial
-	if !m.serial && m.cfg.Sched == SchedParallel && m.parallelOK() {
-		m.par = newParSched(m)
-		if !m.par.single {
-			// A single shard runs the degenerate conch-handoff loop
-			// (scheduleParOne): processors drive scheduler steps
-			// themselves and never park with a coordinator, so the park
-			// channel stays nil and the routing below falls through to
-			// the run-ahead paths.
-			m.park = make(chan event)
-		}
-	}
+	m.serial = m.recorder != nil || m.cfg.Sched == SchedSerial
 	for i, prog := range programs {
 		if prog == nil {
 			continue // nil program: the node stays idle
@@ -450,16 +422,9 @@ func (m *Machine) Run(programs []Program) error {
 		go func(prog Program, p *Proc) {
 			defer func() {
 				r := recover()
-				// Under the parallel scheduler the coordinator keeps the
-				// conch permanently: active processors report through the
-				// park channel and never drive scheduler steps themselves.
 				switch {
 				case r == nil:
 					if p.active {
-						if m.park != nil {
-							m.park <- event{proc: p}
-							return
-						}
 						m.finish(p) // holds the conch: drive the next step
 						return
 					}
@@ -469,17 +434,9 @@ func (m *Machine) Run(programs []Program) error {
 					// goroutine initiated the abort itself (the drain
 					// then already ran and nobody is listening).
 					if r.(abortProgram).notify {
-						if m.park != nil && p.active {
-							m.park <- event{proc: p, err: r}
-							return
-						}
 						m.events <- event{proc: p, err: r}
 					}
 				case p.active:
-					if m.park != nil {
-						m.park <- event{proc: p, err: recoveredError(p.id, r)}
-						return
-					}
 					m.abortConch(p, recoveredError(p.id, r))
 				default:
 					m.events <- event{proc: p, err: recoveredError(p.id, r)}
@@ -491,25 +448,17 @@ func (m *Machine) Run(programs []Program) error {
 	if m.serial {
 		return m.scheduleSerial()
 	}
-	if m.par != nil {
-		return m.scheduleParallel()
-	}
 	return m.schedule()
 }
 
 // service executes one scheduled operation: the recorder hook (if any),
 // the detailed memory-system model, and the issuing processor's
-// completion bookkeeping, all against the given servicing lane — the
-// coordinator lane on the serial/run-ahead paths, a shard worker's lane
-// inside a parallel batch round. Identical in effect to the inline
-// run-ahead path of Proc.runInline. On the coordinator the in-flight
-// operation is registered in m.servicing so the abort paths can wake its
-// (parked, list-less) processor if anything panics; worker panics are
-// caught by runBatch instead.
-func (m *Machine) service(ln *lane, next *op) {
-	if ln.isCoord {
-		m.servicing = next
-	}
+// completion bookkeeping. Identical in effect to the inline run-ahead
+// path of Proc.runInline. The in-flight operation is registered in
+// m.servicing so the abort paths can wake its (parked, list-less)
+// processor if anything panics.
+func (m *Machine) service(next *op) {
+	m.servicing = next
 	if m.recorder != nil {
 		gap := uint32(0)
 		if next.at > next.proc.lastDone {
@@ -521,31 +470,28 @@ func (m *Machine) service(ln *lane, next *op) {
 			Compute: gap,
 		})
 	}
-	ln.curAt, ln.curCPU = next.at, next.proc.id
-	if ln.checker != nil {
-		m.precheckOp(ln, next)
+	if m.checker != nil {
+		m.precheckOp(next)
 	}
-	m.execute(ln, next)
+	m.execute(next)
 	next.proc.lastDone = next.proc.clock
 	if m.hooks {
-		m.afterOp(ln, next)
+		m.afterOp(next)
 	}
-	if ln.isCoord {
-		m.servicing = nil
-	}
+	m.servicing = nil
 }
 
 // precheckOp validates every block the operation is about to touch, so a
 // corruption is reported as a structured CoherenceViolation before the
 // memory system trips over it with a bare panic.
-func (m *Machine) precheckOp(ln *lane, o *op) {
+func (m *Machine) precheckOp(o *op) {
 	first := m.layout.Block(o.addr)
 	last := first
 	if o.size > 0 {
 		last = m.layout.Block(o.addr + memory.Addr(o.size) - 1)
 	}
 	for b := first; ; b += memory.Addr(m.layout.BlockSize) {
-		if err := ln.checker.CheckBlock(b, o.at); err != nil {
+		if err := m.checker.CheckBlock(b, o.at); err != nil {
 			panic(err)
 		}
 		if b >= last {
@@ -555,15 +501,13 @@ func (m *Machine) precheckOp(ln *lane, o *op) {
 }
 
 // afterOp runs the per-operation robustness hooks once an operation has
-// been fully serviced: the crash-diagnostics ring, the touched-block
-// invariant checks, fault injection, and the periodic full sweep. Checker
-// failures panic with a *CoherenceViolation and flow through the normal
-// abort machinery. Cancel polling, the ring, fault injection and the full
-// sweep are coordinator-only duties (workers count sinceSweep; the
-// coordinator folds the counts in and sweeps at quiescence).
-func (m *Machine) afterOp(ln *lane, o *op) {
-	ln.opCount++
-	if m.cancel != nil && ln.isCoord && ln.opCount&1023 == 0 {
+// been fully serviced: cancel polling, the crash-diagnostics ring, the
+// touched-block invariant checks, fault injection, and the periodic full
+// sweep. Checker failures panic with a *CoherenceViolation and flow
+// through the normal abort machinery.
+func (m *Machine) afterOp(o *op) {
+	m.opCount++
+	if m.cancel != nil && m.opCount&1023 == 0 {
 		if err := m.cancel(); err != nil {
 			panic(&CancelledError{Err: err})
 		}
@@ -581,23 +525,23 @@ func (m *Machine) afterOp(ln *lane, o *op) {
 			m.ringLen++
 		}
 	}
-	if ln.checker != nil {
-		for _, b := range ln.touched {
-			if err := ln.checker.CheckBlock(b, o.proc.clock); err != nil {
-				ln.touched = ln.touched[:0]
+	if m.checker != nil {
+		for _, b := range m.touched {
+			if err := m.checker.CheckBlock(b, o.proc.clock); err != nil {
+				m.touched = m.touched[:0]
 				panic(err)
 			}
 		}
-		ln.touched = ln.touched[:0]
+		m.touched = m.touched[:0]
 	}
 	if m.faults != nil {
-		m.faults.Tick(m, ln.opCount, o.proc.clock)
+		m.faults.Tick(m, m.opCount, o.proc.clock)
 	}
-	if ln.checker != nil && m.cfg.CheckLevel >= check.Full {
-		ln.sinceSweep++
-		if ln.isCoord && ln.sinceSweep >= m.checkEvery {
-			ln.sinceSweep = 0
-			if err := ln.checker.CheckAll(o.proc.clock); err != nil {
+	if m.checker != nil && m.cfg.CheckLevel >= check.Full {
+		m.sinceSweep++
+		if m.sinceSweep >= m.checkEvery {
+			m.sinceSweep = 0
+			if err := m.checker.CheckAll(o.proc.clock); err != nil {
 				panic(err)
 			}
 		}
@@ -704,16 +648,13 @@ func (m *Machine) schedule() (err error) {
 // byte-identical to the serial scheduler's — but a processor that spins N
 // times costs one goroutine handoff instead of N.
 func (m *Machine) popServe() (next *op, ok bool) {
-	if m.par != nil {
-		m.par.rs.SerialSteps++
-	}
 	for {
 		next = m.h.pop()
 		if m.cfg.MaxCycles > 0 && next.at > m.cfg.MaxCycles {
 			m.h.push(next)
 			return next, false
 		}
-		m.service(m.coord, next)
+		m.service(next)
 		if s := next.spin; s != nil && !s.stop() {
 			next.proc.Compute(s.step())
 			next.at = next.proc.clock
@@ -794,8 +735,8 @@ func (m *Machine) abortConch(self *Proc, err error) {
 // operation of every processor is submitted over the events channel and
 // serviced here, with the runnable set rescanned linearly. It is the
 // reference implementation the run-ahead scheduler must match bit for
-// bit, kept alive behind Config.SerialSchedule for differential testing,
-// and the path used when a recorder is installed.
+// bit, selected by SchedSerial for differential testing, and the path used
+// when a recorder is installed.
 func (m *Machine) scheduleSerial() (err error) {
 	running := len(m.procs)
 	pending := make([]*op, m.cfg.Nodes) // indexed by CPU id
@@ -851,7 +792,7 @@ func (m *Machine) scheduleSerial() (err error) {
 			return fmt.Errorf("engine: CPU %d exceeded MaxCycles=%d (livelock guard)", next.proc.id, m.cfg.MaxCycles)
 		}
 		pending[next.proc.id] = nil
-		m.service(m.coord, next)
+		m.service(next)
 		running = 1
 		next.proc.resume <- struct{}{}
 	}

@@ -11,20 +11,18 @@ import (
 
 // execute services one scheduled memory operation, advancing the issuing
 // processor's clock by the modeled latency and updating all simulator
-// state (caches, directory, network occupancy, statistics, classifiers)
-// through the servicing lane ln.
-func (m *Machine) execute(ln *lane, o *op) {
+// state (caches, directory, network occupancy, statistics, classifiers).
+func (m *Machine) execute(o *op) {
 	// The common case — an access confined to one block — skips the split
 	// entirely; straddling accesses reuse the machine's scratch buffer so
-	// neither path allocates. (Multi-block and atomic operations are never
-	// batched by the parallel scheduler, so m.split stays single-writer.)
+	// neither path allocates.
 	if o.size > 0 && m.layout.SameBlock(o.addr, o.addr+memory.Addr(o.size)-1) {
 		if o.rmw {
-			m.accessBlock(ln, o.proc, o.addr, o.size, memory.Load, false, true)
-			m.accessBlock(ln, o.proc, o.addr, o.size, memory.Store, true, false)
+			m.accessBlock(o.proc, o.addr, o.size, memory.Load, false, true)
+			m.accessBlock(o.proc, o.addr, o.size, memory.Store, true, false)
 			return
 		}
-		m.accessBlock(ln, o.proc, o.addr, o.size, o.kind, false, o.excl)
+		m.accessBlock(o.proc, o.addr, o.size, o.kind, false, o.excl)
 		return
 	}
 	m.split = m.layout.AppendSplitByBlock(m.split[:0], o.addr, o.size)
@@ -33,15 +31,15 @@ func (m *Machine) execute(ln *lane, o *op) {
 		// The load half of an atomic is a natural exclusive-read site
 		// under the software prefetch-exclusive model.
 		for _, part := range parts {
-			m.accessBlock(ln, o.proc, part.Addr, part.Size, memory.Load, false, true)
+			m.accessBlock(o.proc, part.Addr, part.Size, memory.Load, false, true)
 		}
 		for _, part := range parts {
-			m.accessBlock(ln, o.proc, part.Addr, part.Size, memory.Store, true, false)
+			m.accessBlock(o.proc, part.Addr, part.Size, memory.Store, true, false)
 		}
 		return
 	}
 	for _, part := range parts {
-		m.accessBlock(ln, o.proc, part.Addr, part.Size, o.kind, false, o.excl)
+		m.accessBlock(o.proc, part.Addr, part.Size, o.kind, false, o.excl)
 	}
 }
 
@@ -50,14 +48,14 @@ func (m *Machine) execute(ln *lane, o *op) {
 // must drain the relaxed-mode write buffer before executing; exclAnnot
 // marks an exclusive-read annotation, honoured only when the machine is
 // configured with SoftwareExclusive.
-func (m *Machine) accessBlock(ln *lane, p *Proc, addr memory.Addr, size uint32, kind memory.Kind, rmwFence, exclAnnot bool) {
+func (m *Machine) accessBlock(p *Proc, addr memory.Addr, size uint32, kind memory.Kind, rmwFence, exclAnnot bool) {
 	block := m.layout.Block(addr)
 	nd := m.nodes[p.id]
-	cpu := &ln.st.CPUs[p.id]
-	if ln.checker != nil {
+	cpu := &m.st.CPUs[p.id]
+	if m.checker != nil {
 		// Queue the block for the post-operation invariant check; fill
 		// adds replacement victims the same way.
-		ln.touched = append(ln.touched, block)
+		m.touched = append(m.touched, block)
 	}
 	if kind == memory.Load {
 		cpu.Loads++
@@ -97,8 +95,10 @@ func (m *Machine) accessBlock(ln *lane, p *Proc, addr memory.Addr, size uint32, 
 		// entry remains in the Load-Store (Excl) state — per Fig. 1 the
 		// "Write (by LR)" transition to Dirty needs no message; the home
 		// discovers the dirtiness when the next request is forwarded.
-		ln.st.EliminatedOwnership++
-		m.noteSeqWrite(ln, block, p.id, p.src, true)
+		m.st.EliminatedOwnership++
+		if m.seq != nil {
+			m.seq.GlobalWrite(block, p.id, p.src, true)
+		}
 	}
 
 	var done uint64 = issued
@@ -109,11 +109,11 @@ func (m *Machine) accessBlock(ln *lane, p *Proc, addr memory.Addr, size uint32, 
 		}
 		switch res.Action {
 		case cache.GlobalRead:
-			done = m.readMiss(ln, p, block, issued, exclAnnot && m.cfg.SoftwareExclusive)
+			done = m.readMiss(p, block, issued, exclAnnot && m.cfg.SoftwareExclusive)
 		case cache.GlobalUpgrade:
-			done = m.upgrade(ln, p, block, issued)
+			done = m.upgrade(p, block, issued)
 		case cache.GlobalWriteMiss:
-			done = m.writeMiss(ln, p, block, issued)
+			done = m.writeMiss(p, block, issued)
 		}
 		stall += done - issued
 	}
@@ -173,17 +173,18 @@ func (m *Machine) classifyReadMiss(e *directory.Entry, block memory.Addr) stats.
 // readMiss services a global read request for block by processor p.id
 // issued at time `at`, returns the completion time, and installs the
 // block in p's caches.
-func (m *Machine) readMiss(ln *lane, p *Proc, block memory.Addr, at uint64, wantExcl bool) uint64 {
+func (m *Machine) readMiss(p *Proc, block memory.Addr, at uint64, wantExcl bool) uint64 {
 	R := p.id
 	H := m.layout.Home(block)
 	e := m.dir.Entry(block)
 	proto := m.cfg.Protocol
-	m.noteDirty(ln, H)
 
-	ln.st.ReadMisses[m.classifyReadMiss(e, block)]++
-	m.noteSeqRead(ln, block, R)
+	m.st.ReadMisses[m.classifyReadMiss(e, block)]++
+	if m.seq != nil {
+		m.seq.GlobalRead(block, R)
+	}
 
-	t := m.request(ln, p, block, H, stats.MsgReadReq, at)
+	t := m.request(p, block, H, stats.MsgReadReq, at)
 
 	var fill cache.State
 	switch e.State {
@@ -197,20 +198,20 @@ func (m *Machine) readMiss(ln *lane, p *Proc, block memory.Addr, at uint64, want
 				// A software exclusive read of a read-shared block
 				// invalidates the other copies (prefetch-exclusive
 				// semantics).
-				t = m.invalidateSharers(ln, e, block, R, H, t)
+				t = m.invalidateSharers(e, block, R, H, t)
 			}
-			ln.st.ExclusiveGrants++
+			m.st.ExclusiveGrants++
 			e.State = directory.Excl
 			e.Owner = R
 			m.clearSharers(e)
 			fill = cache.LStemp
 		} else {
 			e.State = directory.Shared
-			m.addSharer(ln, e, R)
+			m.addSharer(e, R)
 			e.Owner = memory.NoNode
 			fill = cache.Shared
 		}
-		t = m.send(ln, H, R, stats.MsgReadReply, t)
+		t = m.send(H, R, stats.MsgReadReply, t)
 
 	case directory.Dirty, directory.Excl:
 		O := e.Owner
@@ -218,7 +219,7 @@ func (m *Machine) readMiss(ln *lane, p *Proc, block memory.Addr, at uint64, want
 			panic(fmt.Sprintf("engine: read miss by owner %d of block %#x", R, block))
 		}
 		ownerState := m.nodes[O].caches.State(block)
-		t = m.send(ln, H, O, stats.MsgReadFwd, t)
+		t = m.send(H, O, stats.MsgReadFwd, t)
 		t = m.ctrl(O, t, m.cfg.Timing.CtrlTime+m.cfg.L2.AccessTime)
 
 		if ownerState == cache.LStemp {
@@ -230,51 +231,49 @@ func (m *Machine) readMiss(ln *lane, p *Proc, block memory.Addr, at uint64, want
 			// the paper: "both the requesting node as well as the home
 			// node receives an updated copy").
 			proto.NoteFailedPrediction(e)
-			ln.st.FailedPredictions++
+			m.st.FailedPredictions++
 			m.nodes[O].caches.Downgrade(block)
-			m.noteDirty(ln, O)
-			m.send(ln, O, H, stats.MsgNotLS, t)
-			m.send(ln, O, H, stats.MsgUpdate, t)
-			t = m.send(ln, O, R, stats.MsgReadReply, t)
+			m.send(O, H, stats.MsgNotLS, t)
+			m.send(O, H, stats.MsgUpdate, t)
+			t = m.send(O, R, stats.MsgReadReply, t)
 			e.State = directory.Shared
 			m.clearSharers(e)
-			m.addSharer(ln, e, O)
-			m.addSharer(ln, e, R)
+			m.addSharer(e, O)
+			m.addSharer(e, R)
 			e.Owner = memory.NoNode
 			fill = cache.Shared
 		} else {
 			// Genuine dirty copy: DASH-style 4-hop read-on-dirty. The
 			// owner writes back through the home, which replies to the
 			// requester.
-			t = m.send(ln, O, H, stats.MsgSharingWB, t)
+			t = m.send(O, H, stats.MsgSharingWB, t)
 			t = m.ctrl(H, t, m.cfg.Timing.CtrlTime+m.cfg.Timing.MemTime)
 			if wantExcl || proto.GrantExclusiveOnRead(e, R) {
 				// Migratory/LS handling: the read is combined with the
 				// ownership acquisition — the previous owner is
 				// invalidated and the requester receives an exclusive
 				// copy.
-				ln.st.ExclusiveGrants++
-				m.loseCopy(ln, O, block, true)
+				m.st.ExclusiveGrants++
+				m.loseCopy(O, block, true)
 				e.State = directory.Excl
 				e.Owner = R
 				fill = cache.LStemp
 			} else {
 				m.nodes[O].caches.Downgrade(block)
-				m.noteDirty(ln, O)
 				e.State = directory.Shared
 				m.clearSharers(e)
-				m.addSharer(ln, e, O)
-				m.addSharer(ln, e, R)
+				m.addSharer(e, O)
+				m.addSharer(e, R)
 				e.Owner = memory.NoNode
 				fill = cache.Shared
 			}
-			t = m.send(ln, H, R, stats.MsgReadReply, t)
+			t = m.send(H, R, stats.MsgReadReply, t)
 		}
 	}
 
 	proto.NoteRead(e, R)
 	t = m.ctrl(R, t, m.cfg.Timing.CtrlTime)
-	m.fill(ln, p, block, fill, t)
+	m.fill(p, block, fill, t)
 	m.complete(t)
 	return t
 }
@@ -282,32 +281,33 @@ func (m *Machine) readMiss(ln *lane, p *Proc, block memory.Addr, at uint64, want
 // upgrade services an ownership acquisition: p holds a Shared copy and
 // wants to write. Invalidations go to all other sharers; the grant waits
 // for their acknowledgements (sequential consistency).
-func (m *Machine) upgrade(ln *lane, p *Proc, block memory.Addr, at uint64) uint64 {
+func (m *Machine) upgrade(p *Proc, block memory.Addr, at uint64) uint64 {
 	R := p.id
 	H := m.layout.Home(block)
 	e := m.dir.Entry(block)
-	m.noteDirty(ln, H)
 
 	if e.State != directory.Shared || !e.Sharers.Has(R) {
 		panic(fmt.Sprintf("engine: upgrade of block %#x by %d but home state %v sharers %v",
 			block, R, e.State, e.Sharers))
 	}
 
-	ln.st.GlobalInv++
-	ln.st.WritesToShared++
+	m.st.GlobalInv++
+	m.st.WritesToShared++
 	if tagged := m.cfg.Protocol.NoteGlobalWrite(e, R, true); tagged {
-		ln.st.Taggings++
+		m.st.Taggings++
 	}
-	m.noteSeqWrite(ln, block, R, p.src, false)
+	if m.seq != nil {
+		m.seq.GlobalWrite(block, R, p.src, false)
+	}
 
-	t := m.request(ln, p, block, H, stats.MsgOwnReq, at)
-	t = m.invalidateSharers(ln, e, block, R, H, t)
+	t := m.request(p, block, H, stats.MsgOwnReq, at)
+	t = m.invalidateSharers(e, block, R, H, t)
 
 	e.State = directory.Dirty
 	e.Owner = R
 	m.clearSharers(e)
 
-	t = m.send(ln, H, R, stats.MsgOwnAck, t)
+	t = m.send(H, R, stats.MsgOwnAck, t)
 	t = m.ctrl(R, t, m.cfg.Timing.CtrlTime)
 	m.nodes[R].caches.Upgrade(block)
 	m.complete(t)
@@ -316,31 +316,32 @@ func (m *Machine) upgrade(ln *lane, p *Proc, block memory.Addr, at uint64) uint6
 
 // writeMiss services a read-exclusive request: p holds no copy and wants
 // to write.
-func (m *Machine) writeMiss(ln *lane, p *Proc, block memory.Addr, at uint64) uint64 {
+func (m *Machine) writeMiss(p *Proc, block memory.Addr, at uint64) uint64 {
 	R := p.id
 	H := m.layout.Home(block)
 	e := m.dir.Entry(block)
 	proto := m.cfg.Protocol
-	m.noteDirty(ln, H)
 
-	ln.st.GlobalWriteMisses++
+	m.st.GlobalWriteMisses++
 	if tagged := proto.NoteGlobalWrite(e, R, false); tagged {
-		ln.st.Taggings++
+		m.st.Taggings++
 	}
-	m.noteSeqWrite(ln, block, R, p.src, false)
+	if m.seq != nil {
+		m.seq.GlobalWrite(block, R, p.src, false)
+	}
 
-	t := m.request(ln, p, block, H, stats.MsgWriteReq, at)
+	t := m.request(p, block, H, stats.MsgWriteReq, at)
 
 	switch e.State {
 	case directory.Uncached:
 		t = m.ctrl(H, t, m.cfg.Timing.MemTime)
-		t = m.send(ln, H, R, stats.MsgWriteReply, t)
+		t = m.send(H, R, stats.MsgWriteReply, t)
 
 	case directory.Shared:
-		ln.st.WritesToShared++
-		t = m.invalidateSharers(ln, e, block, R, H, t)
+		m.st.WritesToShared++
+		t = m.invalidateSharers(e, block, R, H, t)
 		t = m.ctrl(H, t, m.cfg.Timing.MemTime)
-		t = m.send(ln, H, R, stats.MsgWriteReply, t)
+		t = m.send(H, R, stats.MsgWriteReply, t)
 
 	case directory.Dirty, directory.Excl:
 		O := e.Owner
@@ -348,25 +349,25 @@ func (m *Machine) writeMiss(ln *lane, p *Proc, block memory.Addr, at uint64) uin
 			panic(fmt.Sprintf("engine: write miss by owner %d of block %#x", R, block))
 		}
 		ownerState := m.nodes[O].caches.State(block)
-		t = m.send(ln, H, O, stats.MsgWriteFwd, t)
+		t = m.send(H, O, stats.MsgWriteFwd, t)
 		t = m.ctrl(O, t, m.cfg.Timing.CtrlTime+m.cfg.L2.AccessTime)
 		if ownerState == cache.LStemp {
 			// Foreign write to an unexercised exclusive grant: failed
 			// prediction (Section 3.1, case 2). The copy is clean, so
 			// the home supplies the data after the owner's ack.
 			proto.NoteFailedPrediction(e)
-			ln.st.FailedPredictions++
-			m.loseCopy(ln, O, block, true)
-			t = m.send(ln, O, H, stats.MsgInvalAck, t)
-			ln.st.Invalidations++
+			m.st.FailedPredictions++
+			m.loseCopy(O, block, true)
+			t = m.send(O, H, stats.MsgInvalAck, t)
+			m.st.Invalidations++
 			t = m.ctrl(H, t, m.cfg.Timing.MemTime)
-			t = m.send(ln, H, R, stats.MsgWriteReply, t)
+			t = m.send(H, R, stats.MsgWriteReply, t)
 		} else {
 			// Dirty transfer through the home (4 hops).
-			m.loseCopy(ln, O, block, true)
-			t = m.send(ln, O, H, stats.MsgWriteback, t)
+			m.loseCopy(O, block, true)
+			t = m.send(O, H, stats.MsgWriteback, t)
 			t = m.ctrl(H, t, m.cfg.Timing.CtrlTime+m.cfg.Timing.MemTime)
-			t = m.send(ln, H, R, stats.MsgWriteReply, t)
+			t = m.send(H, R, stats.MsgWriteReply, t)
 		}
 	}
 
@@ -375,7 +376,7 @@ func (m *Machine) writeMiss(ln *lane, p *Proc, block memory.Addr, at uint64) uin
 	m.clearSharers(e)
 
 	t = m.ctrl(R, t, m.cfg.Timing.CtrlTime)
-	m.fill(ln, p, block, cache.Modified, t)
+	m.fill(p, block, cache.Modified, t)
 	m.complete(t)
 	return t
 }
@@ -384,23 +385,23 @@ func (m *Machine) writeMiss(ln *lane, p *Proc, block memory.Addr, at uint64) uin
 // keep, collects their acknowledgements, and returns the time the last ack
 // reached the home. Copies are removed from the victims' caches and the
 // false-sharing classifier is informed (invalidation losses).
-func (m *Machine) invalidateSharers(ln *lane, e *directory.Entry, block memory.Addr, keep, H memory.NodeID, t uint64) uint64 {
+func (m *Machine) invalidateSharers(e *directory.Entry, block memory.Addr, keep, H memory.NodeID, t uint64) uint64 {
 	ackT := t
 	e.Sharers.ForEach(func(s memory.NodeID) {
 		if s == keep {
 			return
 		}
-		ln.st.Invalidations++
-		ti := m.send(ln, H, s, stats.MsgInval, t)
+		m.st.Invalidations++
+		ti := m.send(H, s, stats.MsgInval, t)
 		ti = m.ctrl(s, ti, m.cfg.Timing.CtrlTime)
-		if m.faults == nil || !m.faults.DropInvalidation(s, block, ln.opCount, t) {
-			m.loseCopy(ln, s, block, true)
+		if m.faults == nil || !m.faults.DropInvalidation(s, block, m.opCount, t) {
+			m.loseCopy(s, block, true)
 		}
 		// When the injector drops the invalidation the victim keeps its
 		// stale copy while the home forgets it — the lost-message bug the
 		// online checker must catch. The ack still "arrives": the home
 		// believes the invalidation succeeded.
-		ta := m.send(ln, s, H, stats.MsgInvalAck, ti)
+		ta := m.send(s, H, stats.MsgInvalAck, ti)
 		if ta > ackT {
 			ackT = ta
 		}
@@ -413,9 +414,9 @@ func (m *Machine) invalidateSharers(ln *lane, e *directory.Entry, block memory.A
 	// modulo the Dir block.
 	if f := m.cfg.DirFormat; f.Kind != directory.FullMap {
 		extra, bcast := f.ExtraInvals(e, keep, m.cfg.Nodes)
-		ln.st.Dir.ExtraInvals += extra
+		m.st.Dir.ExtraInvals += extra
 		if bcast {
-			ln.st.Dir.Broadcasts++
+			m.st.Dir.Broadcasts++
 		}
 	}
 	return ackT
@@ -423,9 +424,8 @@ func (m *Machine) invalidateSharers(ln *lane, e *directory.Entry, block memory.A
 
 // loseCopy removes node n's copy of block (invalidation or downgrade-free
 // loss) and informs the false-sharing classifier.
-func (m *Machine) loseCopy(ln *lane, n memory.NodeID, block memory.Addr, byInvalidation bool) {
+func (m *Machine) loseCopy(n memory.NodeID, block memory.Addr, byInvalidation bool) {
 	m.nodes[n].caches.Invalidate(block)
-	m.noteDirty(ln, n)
 	if m.fs != nil {
 		m.fs.OnLose(n, block, byInvalidation)
 	}
@@ -435,11 +435,11 @@ func (m *Machine) loseCopy(ln *lane, n memory.NodeID, block memory.Addr, byInval
 // capacity: under a limited-pointer directory, exceeding the pointer count
 // sets the sticky overflow bit and counts the event. The exact set remains
 // simulation truth, so protocol behaviour is format-independent.
-func (m *Machine) addSharer(ln *lane, e *directory.Entry, R memory.NodeID) {
+func (m *Machine) addSharer(e *directory.Entry, R memory.NodeID) {
 	e.Sharers.Add(R)
 	if f := m.cfg.DirFormat; f.Kind == directory.LimitedPtr && !e.Ovf && e.Sharers.Count() > f.Ptrs {
 		e.Ovf = true
-		ln.st.Dir.Overflows++
+		m.st.Dir.Overflows++
 	}
 }
 
@@ -450,33 +450,21 @@ func (m *Machine) clearSharers(e *directory.Entry) {
 	e.Ovf = false
 }
 
-// noteDirty records that node n's observable state changed during the
-// current service: either n's cache contents (invalidation/downgrade) or a
-// directory entry homed at n. The parallel scheduler's incremental window
-// drains these per-lane queues to recompute only the affected parked-op
-// bounds. A no-op outside parallel runs.
-func (m *Machine) noteDirty(ln *lane, n memory.NodeID) {
-	if m.winTrack {
-		ln.dirty = append(ln.dirty, n)
-	}
-}
-
 // fill installs a block into p's caches at time t and handles the L2
 // victim, if any: Modified victims write back to their home; clean
 // victims send a replacement hint so the directory stays exact (the
 // "Repl" transitions of Fig. 1). Victim traffic does not stall the
 // processor.
-func (m *Machine) fill(ln *lane, p *Proc, block memory.Addr, s cache.State, t uint64) {
+func (m *Machine) fill(p *Proc, block memory.Addr, s cache.State, t uint64) {
 	v, evicted := m.nodes[p.id].caches.Fill(block, s)
 	if !evicted {
 		return
 	}
-	if ln.checker != nil {
-		ln.touched = append(ln.touched, v.Block)
+	if m.checker != nil {
+		m.touched = append(m.touched, v.Block)
 	}
 	vHome := m.layout.Home(v.Block)
 	ve := m.dir.Entry(v.Block)
-	m.noteDirty(ln, vHome)
 	switch v.State {
 	case cache.Modified, cache.LStemp:
 		if ve.Owner != p.id || (ve.State != directory.Dirty && ve.State != directory.Excl) {
@@ -490,12 +478,12 @@ func (m *Machine) fill(ln *lane, p *Proc, block memory.Addr, s cache.State, t ui
 			// LS-bit value (Section 3.1, case 3).
 			msg = stats.MsgReplHint
 		}
-		tv := m.send(ln, p.id, vHome, msg, t)
+		tv := m.send(p.id, vHome, msg, t)
 		m.ctrl(vHome, tv, m.cfg.Timing.CtrlTime+m.cfg.Timing.MemTime)
 		ve.State = directory.Uncached
 		ve.Owner = memory.NoNode
 	case cache.Shared:
-		tv := m.send(ln, p.id, vHome, stats.MsgReplHint, t)
+		tv := m.send(p.id, vHome, stats.MsgReplHint, t)
 		m.ctrl(vHome, tv, m.cfg.Timing.CtrlTime)
 		ve.Sharers.Remove(p.id)
 		if ve.Sharers.Empty() {

@@ -58,7 +58,7 @@ func mcMachine(t testing.TB, kind protocol.Kind, v protocol.Variant) *Machine {
 // this is exactly what an interleaved program run would do).
 func apply(m *Machine, procs []*Proc, op mcOp) {
 	p := procs[op.cpu]
-	m.accessBlock(m.coord, p, op.block, memory.WordSize, op.kind, false, false)
+	m.accessBlock(p, op.block, memory.WordSize, op.kind, false, false)
 }
 
 // checkInvariants is CheckCoherence plus nothing-omitted error reporting.

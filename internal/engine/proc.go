@@ -38,19 +38,6 @@ type op struct {
 	// re-arms the read spin.step busy cycles later without waking the
 	// processor's goroutine (Machine.popServe).
 	spin *spinState
-
-	// Incremental safe-window bookkeeping (parallel scheduler only; see
-	// parWindow). bound is the cached conservative Chandy–Misra bound for
-	// this parked op; bhIdx its position in the bound heap; deps the node
-	// footprint whose state the bound was computed from (the issuing node
-	// plus the homes of the block and every candidate L2 victim), with
-	// depPos the op's back-indices inside parWindow.homeOps; winStamp
-	// dedups recomputation within one dirty drain.
-	bound    uint64
-	bhIdx    int32
-	deps     []memory.NodeID
-	depPos   []int32
-	winStamp uint64
 }
 
 // spinState is the predicate pair of a declarative spin-wait. Both
@@ -157,14 +144,7 @@ func (p *Proc) submit(o op) {
 	if p.runInline(&o) {
 		return
 	}
-	// Preserve the pending op's window-footprint scratch across
-	// submissions: the fresh o carries nil slices, and overwriting them
-	// would cost the parallel window one deps+depPos allocation per
-	// parked op (winDeref has already emptied both by the time the
-	// processor resumes and resubmits).
-	deps, depPos := p.pending.deps, p.pending.depPos
 	p.pending = o
-	p.pending.deps, p.pending.depPos = deps[:0], depPos[:0]
 	m := p.m
 	if m.serial || !p.active {
 		// Serial scheduler, or the first operation (collected centrally
@@ -175,20 +155,6 @@ func (p *Proc) submit(o op) {
 			panic(abortProgram{notify: true})
 		}
 		p.active = !m.serial
-		return
-	}
-	if m.park != nil {
-		// Parallel scheduler, more than one shard: park with the
-		// coordinator and sleep until a batch streak (or serial step)
-		// services the operation. The coordinator alone decides service
-		// order; program goroutines never drive scheduler steps here.
-		// (At a single shard m.park is nil and the conch handoff below
-		// runs instead — see scheduleParOne.)
-		m.park <- event{proc: p, op: &p.pending}
-		<-p.resume
-		if m.aborted {
-			panic(abortProgram{notify: true})
-		}
 		return
 	}
 	m.h.push(&p.pending)
@@ -271,21 +237,19 @@ func (p *Proc) runInline(o *op) bool {
 	if m.nodes[p.id].caches.Classify(m.layout.Block(o.addr), o.kind) != cache.NoGlobal {
 		return false
 	}
-	ln := m.coord
-	ln.curAt, ln.curCPU = o.at, p.id
-	if ln.checker != nil {
+	if m.checker != nil {
 		// Same pre-transaction check as Machine.service (single block by
 		// the guard above). A violation panics out of the program function
 		// into its goroutine's recover, which aborts the run.
-		if err := ln.checker.CheckBlock(o.addr, o.at); err != nil {
+		if err := m.checker.CheckBlock(o.addr, o.at); err != nil {
 			panic(err)
 		}
 	}
-	m.accessBlock(ln, p, o.addr, o.size, o.kind, false, o.excl)
+	m.accessBlock(p, o.addr, o.size, o.kind, false, o.excl)
 	p.lastDone = p.clock
 	m.runAheadOps++
 	if m.hooks {
-		m.afterOp(ln, o)
+		m.afterOp(o)
 	}
 	return true
 }

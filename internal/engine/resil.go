@@ -147,11 +147,11 @@ func (m *Machine) starve(cpu memory.NodeID, block memory.Addr, home memory.NodeI
 // out-of-band fault/recovery accounting of deliver. The returned arrival
 // time comes from the architectural delivery alone, so the timeline of a
 // faulty run matches the fault-free run exactly.
-func (m *Machine) send(ln *lane, from, to memory.NodeID, t stats.MsgType, now uint64) uint64 {
+func (m *Machine) send(from, to memory.NodeID, t stats.MsgType, now uint64) uint64 {
 	if r := m.resil; r != nil && r.faults != nil && from != to {
 		m.deliver(from, to, t, now)
 	}
-	return ln.net.Send(from, to, t, now)
+	return m.net.Send(from, to, t, now)
 }
 
 // deliver plays the unreliable-delivery game for one message: fault
@@ -249,10 +249,10 @@ func (m *Machine) deliver(from, to memory.NodeID, t stats.MsgType, now uint64) {
 // home controller accepted the request. Only transaction-opening
 // requests contend for buffers; replies, forwards, invalidations and
 // victim traffic ride the transaction's existing buffer.
-func (m *Machine) request(ln *lane, p *Proc, block memory.Addr, H memory.NodeID, typ stats.MsgType, at uint64) uint64 {
-	t := m.send(ln, p.id, H, typ, at)
+func (m *Machine) request(p *Proc, block memory.Addr, H memory.NodeID, typ stats.MsgType, at uint64) uint64 {
+	t := m.send(p.id, H, typ, at)
 	if r := m.resil; r != nil && r.mshrs != nil {
-		t = m.acquire(ln, p, block, H, typ, t)
+		t = m.acquire(p, block, H, typ, t)
 	}
 	return m.ctrl(H, t, m.cfg.Timing.CtrlTime)
 }
@@ -263,7 +263,7 @@ func (m *Machine) request(ln *lane, p *Proc, block memory.Addr, H memory.NodeID,
 // ports, the backoff advances the transaction, and jitter comes from the
 // dedicated seeded stream — because buffer saturation is a property of
 // the configuration, identical across faulty and fault-free runs.
-func (m *Machine) acquire(ln *lane, p *Proc, block memory.Addr, H memory.NodeID, typ stats.MsgType, t uint64) uint64 {
+func (m *Machine) acquire(p *Proc, block memory.Addr, H memory.NodeID, typ stats.MsgType, t uint64) uint64 {
 	r := m.resil
 	first := t
 	retries := 0
@@ -277,7 +277,7 @@ func (m *Machine) acquire(ln *lane, p *Proc, block memory.Addr, H memory.NodeID,
 		}
 		m.st.Resil.Nacks++
 		r.noteRetry(block, p.id)
-		nackT := m.send(ln, H, p.id, stats.MsgRetry, t)
+		nackT := m.send(H, p.id, stats.MsgRetry, t)
 		if !r.policy.Enabled() {
 			panic(m.starve(p.id, block, H, nackT, retries, nackT-first,
 				"home transaction buffers saturated and retries disabled"))
@@ -289,7 +289,7 @@ func (m *Machine) acquire(ln *lane, p *Proc, block memory.Addr, H memory.NodeID,
 		wait := r.policy.Backoff(retries, r.jitter)
 		m.st.Resil.NoteBackoff(wait)
 		m.st.Resil.Retries++
-		t = m.send(ln, p.id, H, typ, nackT+wait)
+		t = m.send(p.id, H, typ, nackT+wait)
 		if t-first > r.window {
 			panic(m.starve(p.id, block, H, t, retries, t-first, "no forward progress within the progress window"))
 		}

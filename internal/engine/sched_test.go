@@ -39,12 +39,20 @@ func contendedProgram(m *Machine) Program {
 	}
 }
 
+// schedOf maps the tests' serial flag to a scheduler.
+func schedOf(serial bool) Sched {
+	if serial {
+		return SchedSerial
+	}
+	return SchedRunAhead
+}
+
 // schedulerStats runs the contended workload under the given scheduler
 // and returns the machine for inspection.
 func schedulerStats(t *testing.T, serial bool) *Machine {
 	t.Helper()
 	cfg := testConfig(protocol.LS, protocol.Variant{})
-	cfg.SerialSchedule = serial
+	cfg.Sched = schedOf(serial)
 	m, err := NewMachine(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +138,7 @@ func TestNoGoroutineLeakOnPanic(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				baseline := runtime.NumGoroutine()
 				cfg := testConfig(protocol.Baseline, protocol.Variant{})
-				cfg.SerialSchedule = serial
+				cfg.Sched = schedOf(serial)
 				m, err := NewMachine(cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -167,7 +175,7 @@ func TestNoGoroutineLeakOnMaxCycles(t *testing.T) {
 		t.Run(fmt.Sprintf("serial=%v", serial), func(t *testing.T) {
 			baseline := runtime.NumGoroutine()
 			cfg := testConfig(protocol.Baseline, protocol.Variant{})
-			cfg.SerialSchedule = serial
+			cfg.Sched = schedOf(serial)
 			cfg.MaxCycles = 100_000
 			m, err := NewMachine(cfg)
 			if err != nil {
@@ -191,7 +199,7 @@ func TestNoGoroutineLeakOnMaxCycles(t *testing.T) {
 // TestSerialMaxCyclesGuard mirrors TestMaxCyclesGuard on the serial path.
 func TestSerialMaxCyclesGuard(t *testing.T) {
 	cfg := testConfig(protocol.Baseline, protocol.Variant{})
-	cfg.SerialSchedule = true
+	cfg.Sched = SchedSerial
 	cfg.MaxCycles = 50_000
 	m, err := NewMachine(cfg)
 	if err != nil {

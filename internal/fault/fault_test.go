@@ -30,18 +30,22 @@ const injectionOp = 200
 const detectionBound = 5000
 
 func testConfig(serial bool, inj *fault.Injector) engine.Config {
+	sched := engine.SchedRunAhead
+	if serial {
+		sched = engine.SchedSerial
+	}
 	return engine.Config{
-		Nodes:          4,
-		L1:             cache.Config{Size: 4 * 1024, Assoc: 1, BlockSize: 16, AccessTime: 1},
-		L2:             cache.Config{Size: 64 * 1024, Assoc: 1, BlockSize: 16, AccessTime: 10},
-		PageSize:       4096,
-		Timing:         engine.DefaultTiming(),
-		Protocol:       protocol.New(protocol.LS, protocol.Variant{}),
-		MaxCycles:      200_000_000,
-		SerialSchedule: serial,
-		CheckLevel:     check.Full,
-		CheckInterval:  1,
-		FaultInjector:  inj,
+		Nodes:         4,
+		L1:            cache.Config{Size: 4 * 1024, Assoc: 1, BlockSize: 16, AccessTime: 1},
+		L2:            cache.Config{Size: 64 * 1024, Assoc: 1, BlockSize: 16, AccessTime: 10},
+		PageSize:      4096,
+		Timing:        engine.DefaultTiming(),
+		Protocol:      protocol.New(protocol.LS, protocol.Variant{}),
+		MaxCycles:     200_000_000,
+		Sched:         sched,
+		CheckLevel:    check.Full,
+		CheckInterval: 1,
+		FaultInjector: inj,
 	}
 }
 

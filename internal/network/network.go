@@ -215,36 +215,3 @@ func (nw *Network) Send(from, to memory.NodeID, t stats.MsgType, now uint64) uin
 func (nw *Network) PortBusyUntil(node memory.NodeID) (egress, ingress uint64) {
 	return nw.egress[node], nw.ingress[node]
 }
-
-// WithSink returns a view of the network that records traffic into st
-// instead of the original sink, while sharing the same port-occupancy
-// state. The parallel scheduler gives each shard such a view so workers
-// can account messages into private collectors without touching the
-// shared one; the underlying egress/ingress arrays are still the single
-// source of truth for timing (shard confinement guarantees two shards
-// never touch the same node's ports concurrently).
-func (nw *Network) WithSink(st *stats.Stats) *Network {
-	cp := *nw
-	cp.st = st
-	return &cp
-}
-
-// MinLatency returns a lower bound on how much later than its injection
-// time a message from->to can be fully received: the header's occupancy
-// charge plus the hop traversal delay, ignoring all port contention
-// (contention only delays further). Zero for a node talking to itself.
-// This is the Chandy–Misra lookahead floor of the parallel scheduler.
-func (nw *Network) MinLatency(from, to memory.NodeID) uint64 {
-	if from == to {
-		return 0
-	}
-	return nw.occupancy(stats.HeaderBytes) + uint64(nw.cfg.HopDelay)*uint64(nw.Hops(from, to))
-}
-
-// MinRemoteLatency returns the smallest MinLatency over any pair of
-// distinct nodes: one header occupancy plus one hop. It bounds the reply
-// leg of a transaction whose responder is not known in advance (a dirty
-// read's data can come from the owner rather than the home).
-func (nw *Network) MinRemoteLatency() uint64 {
-	return nw.occupancy(stats.HeaderBytes) + uint64(nw.cfg.HopDelay)
-}

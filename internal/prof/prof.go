@@ -3,8 +3,7 @@
 // spends its time (the scheduler work behind the run-ahead optimization
 // was found this way), a -memprofile flag captures heap allocations, and
 // -mutexprofile/-blockprofile capture lock contention and blocking —
-// the profiles that matter when tuning the parallel scheduler's
-// shard-worker handoffs.
+// the profiles that show the run-ahead scheduler's goroutine handoffs.
 package prof
 
 import (

@@ -1,6 +1,7 @@
 package loadtest
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -12,6 +13,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -389,18 +391,9 @@ func TestCrashRestartSIGKILL(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and SIGKILLs a real daemon; skipped in -short")
 	}
-	bin := filepath.Join(t.TempDir(), "lsnumad")
-	if out, err := exec.Command("go", "build", "-o", bin, "lsnuma/cmd/lsnumad").CombinedOutput(); err != nil {
-		t.Fatalf("go build lsnumad: %v\n%s", err, out)
-	}
-
+	bin := buildLsnumad(t)
 	stateDir := t.TempDir()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
+	addr := freeAddr(t)
 	ctx := context.Background()
 
 	// -j 1 keeps points sequential so the SIGKILL lands mid-sweep.
@@ -426,7 +419,7 @@ func TestCrashRestartSIGKILL(t *testing.T) {
 	// lands mid-sweep with a couple hundred ms to spare.
 	errKilled := errors.New("kill -9")
 	var jobID string
-	_, err = client.Stream(ctx, "sweep", `{"workload":"mp3d","sweep":"block","scale":"small","tenant":"ci"}`,
+	_, err := client.Stream(ctx, "sweep", `{"workload":"mp3d","sweep":"block","scale":"small","tenant":"ci"}`,
 		func(rec server.StreamRecord) error {
 			if rec.Type == "job" {
 				jobID = rec.ID
@@ -487,5 +480,59 @@ func TestCrashRestartSIGKILL(t *testing.T) {
 	}
 	if got.String() != want.String() {
 		t.Errorf("post-SIGKILL sweep is not byte-identical to lssweep stdout:\n--- daemon ---\n%s--- lssweep ---\n%s", got.String(), want.String())
+	}
+}
+
+// buildLsnumad builds the daemon binary into a test temp dir.
+func buildLsnumad(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "lsnumad")
+	if out, err := exec.Command("go", "build", "-o", bin, "lsnuma/cmd/lsnumad").CombinedOutput(); err != nil {
+		t.Fatalf("go build lsnumad: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// freeAddr returns a loopback address with a port free at the time of
+// the call.
+func freeAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	return ln.Addr().String()
+}
+
+// TestSIGTERMAfterFirstHealthz signals a real daemon the moment it first
+// answers /healthz: the drain handler is installed before the listener
+// serves, so the daemon must drain and exit 0 rather than die to the
+// default SIGTERM action.
+func TestSIGTERMAfterFirstHealthz(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and signals a real daemon; skipped in -short")
+	}
+	bin := buildLsnumad(t)
+	addr := freeAddr(t)
+	var stderr bytes.Buffer
+	cmd := exec.Command(bin, "-addr", addr)
+	cmd.Stderr = &stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatalf("start lsnumad: %v", err)
+	}
+	client := New("http://" + addr)
+	waitFor(t, func() bool {
+		_, status, err := client.Healthz(context.Background())
+		return err == nil && status == http.StatusOK
+	})
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("lsnumad after an early SIGTERM: %v, want exit 0\n%s", err, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "drained, bye") {
+		t.Errorf("lsnumad did not drain on SIGTERM:\n%s", stderr.String())
 	}
 }

@@ -256,6 +256,12 @@ func TestBadRequests(t *testing.T) {
 		{"missing sweep", "/api/v1/sweep", `{"workload":"mp3d"}`},
 		{"bad sweep", "/api/v1/sweep", `{"sweep":"voltage"}`},
 		{"invalid config", "/api/v1/point", `{"config":{"Nodes":-3}}`},
+		{"L1 larger than L2", "/api/v1/point", `{"workload":"oltp","config":{"L2":{"Size":32768}}}`},
+		// The parallel scheduler's shard count left Config with the
+		// scheduler (JSON keys match fields case-insensitively, so this
+		// once set it); naming it is now an unknown field, not a silently
+		// ignored one.
+		{"removed shard-count field", "/api/v1/point", `{"config":{"shards":2}}`},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
@@ -266,6 +272,15 @@ func TestBadRequests(t *testing.T) {
 			t.Errorf("%s: status = %d, want 400", tc.name, resp.StatusCode)
 		}
 		resp.Body.Close()
+	}
+}
+
+// TestParseJobRejectsInclusion: a config whose L1 outgrows its L2 is
+// refused at admission, not admitted and failed at machine build.
+func TestParseJobRejectsInclusion(t *testing.T) {
+	_, _, _, err := parseJobBytes([]byte(`{"workload":"oltp","config":{"L2":{"Size":32768}}}`))
+	if err == nil || !strings.Contains(err.Error(), "exceeds L2 size") {
+		t.Fatalf("parseJobBytes = %v, want an L1/L2 inclusion error", err)
 	}
 }
 

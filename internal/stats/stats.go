@@ -333,60 +333,6 @@ func (s *Stats) Reset() {
 	*s = Stats{CPUs: cpus}
 }
 
-// Merge folds another collector into s: every additive counter is summed
-// and the maxima (backoff, retries) take the larger value. The parallel
-// scheduler gives each shard a private collector and merges them here at
-// the end of the run; because every counter is either a sum over serviced
-// operations or a max, the merged totals equal a serial run's exactly.
-// The two collectors must cover the same number of CPUs.
-func (s *Stats) Merge(o *Stats) {
-	for i := range s.CPUs {
-		a, b := &s.CPUs[i], &o.CPUs[i]
-		a.Busy += b.Busy
-		a.ReadStall += b.ReadStall
-		a.WriteStall += b.WriteStall
-		a.Loads += b.Loads
-		a.Stores += b.Stores
-		a.L1Hits += b.L1Hits
-		a.L2Hits += b.L2Hits
-		a.GlobalOps += b.GlobalOps
-	}
-	for i := range s.Msgs {
-		s.Msgs[i] += o.Msgs[i]
-		s.MsgBytes[i] += o.MsgBytes[i]
-	}
-	for i := range s.ReadMisses {
-		s.ReadMisses[i] += o.ReadMisses[i]
-	}
-	s.GlobalInv += o.GlobalInv
-	s.GlobalWriteMisses += o.GlobalWriteMisses
-	s.Invalidations += o.Invalidations
-	s.WritesToShared += o.WritesToShared
-	s.EliminatedOwnership += o.EliminatedOwnership
-	s.ExclusiveGrants += o.ExclusiveGrants
-	s.FailedPredictions += o.FailedPredictions
-	s.Taggings += o.Taggings
-	s.Resil.Nacks += o.Resil.Nacks
-	s.Resil.Retries += o.Resil.Retries
-	s.Resil.TimeoutResends += o.Resil.TimeoutResends
-	s.Resil.BackoffCycles += o.Resil.BackoffCycles
-	if o.Resil.MaxBackoff > s.Resil.MaxBackoff {
-		s.Resil.MaxBackoff = o.Resil.MaxBackoff
-	}
-	if o.Resil.MaxRetries > s.Resil.MaxRetries {
-		s.Resil.MaxRetries = o.Resil.MaxRetries
-	}
-	for i := range s.Resil.RetryHist {
-		s.Resil.RetryHist[i] += o.Resil.RetryHist[i]
-	}
-	s.Resil.DroppedMsgs += o.Resil.DroppedMsgs
-	s.Resil.DupMsgs += o.Resil.DupMsgs
-	s.Resil.ReorderedMsgs += o.Resil.ReorderedMsgs
-	s.Dir.ExtraInvals += o.Dir.ExtraInvals
-	s.Dir.Broadcasts += o.Dir.Broadcasts
-	s.Dir.Overflows += o.Dir.Overflows
-}
-
 // AddMsg records one message of type t carrying blockSize bytes of data if
 // the type is data-carrying.
 func (s *Stats) AddMsg(t MsgType, blockSize uint64) {

@@ -69,7 +69,7 @@ func TestResilientMatrix(t *testing.T) {
 				want := exportJSON(t, stripTransparent(lossless))
 				for _, serial := range []bool{false, true} {
 					c := cfg
-					c.SerialSchedule = serial
+					c.Scheduler = schedulerName(serial)
 					c.Faults = faults
 					lossy, err := Run(c, w, ScaleTest)
 					if err != nil {
