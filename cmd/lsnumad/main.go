@@ -170,7 +170,7 @@ func main() {
 	if n := srv.Recover(); n > 0 {
 		fmt.Fprintf(os.Stderr, "lsnumad: replaying %d incomplete job(s) from %s\n", n, *stateDir)
 	}
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := newHTTPServer(*addr, srv.Handler())
 
 	// Install the drain handler before any listener serves: a SIGTERM
 	// that follows the first healthy response must drain, not kill the
@@ -242,6 +242,17 @@ func main() {
 	}
 	fmt.Fprintln(os.Stderr, "lsnumad: drained, bye")
 	os.Exit(code)
+}
+
+// readHeaderTimeout bounds how long a connection may take to send a
+// request's headers, so clients that open connections and trickle bytes
+// cannot hold them open forever. Request bodies and responses are not
+// bounded: sweep streams legitimately run for minutes.
+const readHeaderTimeout = 5 * time.Second
+
+// newHTTPServer returns the job-serving HTTP server.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout}
 }
 
 func fatal(err error) {

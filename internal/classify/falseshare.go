@@ -1,7 +1,8 @@
 package classify
 
 import (
-	"lsnuma/internal/directory"
+	"math/bits"
+
 	"lsnuma/internal/memory"
 )
 
@@ -41,19 +42,58 @@ func (k MissKind) String() string {
 	}
 }
 
-// fsBlock is the per-block tracking state of the false-sharing classifier.
-// The per-CPU sets are directory.Bitsets so the classifier works beyond 64
-// processors.
-type fsBlock struct {
-	wordTime   []uint64        // logical time of last write, per word
-	wordWriter []memory.NodeID // last writer, per word
+// Residency states of one CPU for one block: what the Dubois
+// classification must remember between events. A CPU that never held the
+// block takes a cold miss next; once its copy is gone, how the copy ended
+// decides the kind of the next miss; while it holds the block, the state
+// says whether the miss that opened the residency is still to be
+// classified and, if so, whether it has used a remotely written word.
+// States from fsClassified on are resident.
+const (
+	fsNeverHeld   uint8 = iota // no copy yet
+	fsReplaced                 // the last copy was replaced
+	fsInvalidated              // the last copy was invalidated
+	fsClassified               // resident; opened by a cold or replacement miss, already counted
+	fsCoherent                 // resident; opened by a coherence miss, no remotely written word used yet
+	fsTrueSharing              // resident; opened by a coherence miss that used a remotely written word
+)
 
-	resident  directory.Bitset // CPUs with an open residency
-	everHeld  directory.Bitset // CPUs that ever held the block
-	lostInval directory.Bitset // last residency ended by invalidation
-	essential directory.Bitset // open residency already proven essential
-	coherent  directory.Bitset // open residency began as a coherence miss
-	lostTime  []uint64
+// fsStateBits is the width of one packed residency state, two to a byte.
+const fsStateBits = 4
+
+// fsPageSlots bounds the (block, CPU) slots in one classifier page.
+// Blocks per page is the largest power of two within it (at least one),
+// so a page's per-CPU state stays within 8.5 KB up to 1024 CPUs: 256
+// blocks at 4 CPUs, one block at 1024.
+const fsPageSlots = 1024
+
+// fsPage holds the classifier state of a run of consecutive blocks in
+// pointer-free arrays, the way seqPage holds the sequence detector's:
+// a lookup is two shifts and no hashing, a page is five allocations for
+// many blocks, and the garbage collector never scans the arrays. Zero is
+// the untouched state: a word with write time 0 was never written (its
+// writer is then never read) and state 0 is fsNeverHeld, so a page needs
+// no per-block initialization.
+//
+// Every miss writes a residency state, so states are packed two to a
+// byte. Loss times are written only when a copy is lost and are kept in
+// their own array: on a large machine most (block, CPU) pairs never lose
+// a copy, and the memory holding their loss times is never touched.
+type fsPage struct {
+	wordTime   []uint64        // logical time of the last write, per (block, word)
+	wordWriter []memory.NodeID // last writer, per (block, word)
+	lostTime   []uint64        // logical time the CPU last lost the block, per (block, CPU)
+	states     []uint8         // residency state, per (block, CPU), packed
+}
+
+func (pg *fsPage) state(slot int) uint8 {
+	return pg.states[slot/2] >> (slot % 2 * fsStateBits) & (1<<fsStateBits - 1)
+}
+
+func (pg *fsPage) setState(slot int, st uint8) {
+	shift := slot % 2 * fsStateBits
+	b := &pg.states[slot/2]
+	*b = *b&^((1<<fsStateBits-1)<<shift) | st<<shift
 }
 
 // FalseSharing is the Dubois-style word-granularity miss classifier. The
@@ -63,10 +103,12 @@ type fsBlock struct {
 // residency (or Finalize), when it is known whether the processor ever
 // consumed a remotely written word.
 type FalseSharing struct {
-	layout memory.Layout
-	cpus   int
-	blocks map[uint64]*fsBlock
-	clock  uint64
+	layout    memory.Layout
+	cpus      int
+	words     int  // words per block
+	pageShift uint // log2(blocks per page)
+	pages     []*fsPage
+	clock     uint64
 
 	Misses [NumMissKinds]uint64
 }
@@ -74,52 +116,58 @@ type FalseSharing struct {
 // NewFalseSharing returns a classifier for the given layout and processor
 // count.
 func NewFalseSharing(layout memory.Layout, cpus int) *FalseSharing {
-	return &FalseSharing{layout: layout, cpus: cpus, blocks: make(map[uint64]*fsBlock)}
+	perPage := fsPageSlots / cpus
+	if perPage < 1 {
+		perPage = 1
+	}
+	return &FalseSharing{
+		layout:    layout,
+		cpus:      cpus,
+		words:     layout.WordsPerBlock(),
+		pageShift: uint(bits.Len(uint(perPage)) - 1),
+	}
 }
 
-func (f *FalseSharing) block(block memory.Addr) *fsBlock {
-	idx := f.layout.BlockIndex(block)
-	b, ok := f.blocks[idx]
-	if !ok {
-		words := f.layout.WordsPerBlock()
-		b = &fsBlock{
-			wordTime:   make([]uint64, words),
-			wordWriter: make([]memory.NodeID, words),
-			lostTime:   make([]uint64, f.cpus),
-		}
-		for i := range b.wordWriter {
-			b.wordWriter[i] = memory.NoNode
-		}
-		f.blocks[idx] = b
+// page returns the page holding the block that contains addr, allocating
+// it on first touch, and the block's offset within the page.
+func (f *FalseSharing) page(addr memory.Addr) (*fsPage, int) {
+	idx := f.layout.BlockIndex(addr)
+	pi := idx >> f.pageShift
+	if pi >= uint64(len(f.pages)) {
+		f.pages = append(f.pages, make([]*fsPage, pi+1-uint64(len(f.pages)))...)
 	}
-	return b
+	pg := f.pages[pi]
+	if pg == nil {
+		blocks := 1 << f.pageShift
+		pg = &fsPage{
+			wordTime:   make([]uint64, blocks*f.words),
+			wordWriter: make([]memory.NodeID, blocks*f.words),
+			lostTime:   make([]uint64, blocks*f.cpus),
+			states:     make([]uint8, (blocks*f.cpus+1)/2),
+		}
+		f.pages[pi] = pg
+	}
+	return pg, int(idx & (1<<f.pageShift - 1))
 }
 
 // OnMiss opens a residency: cpu missed on the block containing addr. Must
 // be called before the corresponding OnAccess for the missing access.
+// Cold and replacement misses are classified here; a coherence miss waits
+// for its residency to close.
 func (f *FalseSharing) OnMiss(cpu memory.NodeID, block memory.Addr) {
-	b := f.block(block)
-	if b.resident.Has(cpu) {
-		return // already resident (shouldn't happen; be tolerant)
-	}
-	b.resident.Add(cpu)
-	b.essential.Remove(cpu)
-	b.coherent.Remove(cpu)
-	if !b.everHeld.Has(cpu) {
-		// Cold miss: classified immediately; the residency is marked
-		// essential so its close doesn't double-count.
+	pg, b := f.page(block)
+	slot := b*f.cpus + int(cpu)
+	switch pg.state(slot) {
+	case fsNeverHeld:
 		f.Misses[ColdMiss]++
-		b.everHeld.Add(cpu)
-		b.essential.Add(cpu)
-		return
-	}
-	if b.lostInval.Has(cpu) {
-		b.coherent.Add(cpu)
-	} else {
-		// Replacement miss: classified immediately.
+		pg.setState(slot, fsClassified)
+	case fsReplaced:
 		f.Misses[ReplacementMiss]++
-		b.essential.Add(cpu)
+		pg.setState(slot, fsClassified)
+	case fsInvalidated:
+		pg.setState(slot, fsCoherent)
 	}
+	// Otherwise already resident (shouldn't happen; be tolerant).
 }
 
 // OnAccess records that cpu touched words [addr, addr+size) of a resident
@@ -127,15 +175,17 @@ func (f *FalseSharing) OnMiss(cpu memory.NodeID, block memory.Addr) {
 // is decided here: touching a word written by another processor since the
 // block was last lost proves the current residency essential.
 func (f *FalseSharing) OnAccess(cpu memory.NodeID, addr memory.Addr, size uint32, kind memory.Kind) {
-	b := f.block(f.layout.Block(addr))
+	pg, b := f.page(addr)
 	first := f.layout.WordInBlock(addr)
 	last := f.layout.WordInBlock(addr + memory.Addr(size) - 1)
+	times := pg.wordTime[b*f.words : (b+1)*f.words]
+	writers := pg.wordWriter[b*f.words : (b+1)*f.words]
 
-	if !b.essential.Has(cpu) && b.coherent.Has(cpu) {
-		lost := b.lostTime[cpu]
+	if slot := b*f.cpus + int(cpu); pg.state(slot) == fsCoherent {
+		lost := pg.lostTime[slot]
 		for w := first; w <= last; w++ {
-			if b.wordTime[w] > lost && b.wordWriter[w] != cpu {
-				b.essential.Add(cpu)
+			if times[w] > lost && writers[w] != cpu {
+				pg.setState(slot, fsTrueSharing)
 				break
 			}
 		}
@@ -143,8 +193,8 @@ func (f *FalseSharing) OnAccess(cpu memory.NodeID, addr memory.Addr, size uint32
 	if kind == memory.Store {
 		f.clock++
 		for w := first; w <= last; w++ {
-			b.wordTime[w] = f.clock
-			b.wordWriter[w] = cpu
+			times[w] = f.clock
+			writers[w] = cpu
 		}
 	}
 }
@@ -160,41 +210,51 @@ func (f *FalseSharing) OnAccess(cpu memory.NodeID, addr memory.Addr, size uint32
 // write). This guarantees the causing write is timestamped after the loss
 // and therefore counts as new to the losing processor.
 func (f *FalseSharing) OnLose(cpu memory.NodeID, block memory.Addr, byInvalidation bool) {
-	b := f.block(block)
-	if !b.resident.Has(cpu) {
-		return
+	pg, b := f.page(block)
+	slot := b*f.cpus + int(cpu)
+	st := pg.state(slot)
+	if st < fsClassified {
+		return // not resident
 	}
-	f.closeResidency(b, cpu)
-	b.resident.Remove(cpu)
+	f.classify(st)
 	if byInvalidation {
-		b.lostInval.Add(cpu)
+		pg.setState(slot, fsInvalidated)
 	} else {
-		b.lostInval.Remove(cpu)
+		pg.setState(slot, fsReplaced)
 	}
 	f.clock++
-	b.lostTime[cpu] = f.clock
+	pg.lostTime[slot] = f.clock
 }
 
-func (f *FalseSharing) closeResidency(b *fsBlock, cpu memory.NodeID) {
-	if !b.coherent.Has(cpu) {
-		return // cold or replacement miss, already classified
-	}
-	if b.essential.Has(cpu) {
-		f.Misses[TrueSharingMiss]++
-	} else {
+// classify counts the coherence miss that opened a closing residency in
+// state st; cold and replacement misses were counted when they opened.
+func (f *FalseSharing) classify(st uint8) {
+	switch st {
+	case fsCoherent:
 		f.Misses[FalseSharingMiss]++
+	case fsTrueSharing:
+		f.Misses[TrueSharingMiss]++
 	}
-	b.coherent.Remove(cpu)
 }
 
 // Finalize closes all open residencies at the end of the simulation so
-// their misses are classified.
+// their misses are classified. It leaves each closed residency not
+// resident: invalidated if a coherence miss opened it, replaced
+// otherwise.
 func (f *FalseSharing) Finalize() {
-	for _, b := range f.blocks {
-		b.resident.ForEach(func(cpu memory.NodeID) {
-			f.closeResidency(b, cpu)
-		})
-		b.resident.Clear()
+	for _, pg := range f.pages {
+		if pg == nil {
+			continue
+		}
+		for slot := 0; slot < 2*len(pg.states); slot++ {
+			switch st := pg.state(slot); st {
+			case fsClassified:
+				pg.setState(slot, fsReplaced)
+			case fsCoherent, fsTrueSharing:
+				f.classify(st)
+				pg.setState(slot, fsInvalidated)
+			}
+		}
 	}
 }
 

@@ -47,38 +47,59 @@ func TestHotPathAllocs(t *testing.T) {
 	}
 }
 
+// blockAllocs returns the total allocation count of building cfg's
+// machine and running one processor that reads `blocks` distinct blocks.
+func blockAllocs(t *testing.T, cfg Config, blocks int) float64 {
+	t.Helper()
+	return testing.AllocsPerRun(3, func() {
+		m, err := NewMachine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size := uint64(blocks * 16)
+		buf := m.Alloc().Alloc("buf", size, 0)
+		prog := func(p *Proc) {
+			for i := 0; i < blocks; i++ {
+				p.Read(buf + memory.Addr(i*16))
+			}
+		}
+		if err := m.Run([]Program{prog}); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
 // TestDirectoryAllocs guards the flat paged directory against per-block
 // allocation: touching N distinct blocks must allocate pages (one per
 // ~256 blocks), not entries — the marginal allocation cost per block is a
 // small fraction, where the map backend paid one *Entry plus map growth
 // per block.
 func TestDirectoryAllocs(t *testing.T) {
-	run := func(blocks int) float64 {
-		return testing.AllocsPerRun(3, func() {
-			m, err := NewMachine(testConfig(protocol.LS, protocol.Variant{}))
-			if err != nil {
-				t.Fatal(err)
-			}
-			size := uint64(blocks * 16)
-			buf := m.Alloc().Alloc("buf", size, 0)
-			prog := func(p *Proc) {
-				for i := 0; i < blocks; i++ {
-					p.Read(buf + memory.Addr(i*16))
-				}
-			}
-			if err := m.Run([]Program{prog}); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	small := run(512)
-	big := run(8192)
+	cfg := testConfig(protocol.LS, protocol.Variant{})
+	small := blockAllocs(t, cfg, 512)
+	big := blockAllocs(t, cfg, 8192)
 	perBlock := (big - small) / float64(8192-512)
 	t.Logf("directory marginal allocs/block=%.4f", perBlock)
 	// One page struct + two slices per 256 blocks plus cache-fill noise:
 	// well under 0.1; the map backend sat near 1.2.
 	if perBlock > 0.1 {
 		t.Errorf("directory allocates %.4f allocations per touched block, want paged (<= 0.1)", perBlock)
+	}
+}
+
+// TestFalseSharingAllocs is TestDirectoryAllocs with the false-sharing
+// classifier on: its per-block state lives in pages as well, so the
+// marginal cost per touched block stays a small fraction, where the
+// map-based classifier allocated four objects plus map growth per block.
+func TestFalseSharingAllocs(t *testing.T) {
+	cfg := testConfig(protocol.LS, protocol.Variant{})
+	cfg.TrackFalseSharing = true
+	small := blockAllocs(t, cfg, 512)
+	big := blockAllocs(t, cfg, 8192)
+	perBlock := (big - small) / float64(8192-512)
+	t.Logf("directory+classifier marginal allocs/block=%.4f", perBlock)
+	if perBlock > 0.1 {
+		t.Errorf("directory and classifier allocate %.4f allocations per touched block, want paged (<= 0.1)", perBlock)
 	}
 }
 

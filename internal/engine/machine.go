@@ -334,6 +334,18 @@ func (m *Machine) Reset(cfg Config) error {
 	return nil
 }
 
+// Trim drops the per-run state that Reset rebuilds anyway — the
+// false-sharing classifier, the sequence detector, the allocator, the
+// checker and the op ring — so a machine idling in a reuse pool pins
+// only the structural arrays Reset keeps: caches, directory pages and
+// scheduler buffers. Read the run's results before trimming; the
+// machine runs again only after a Reset.
+func (m *Machine) Trim() {
+	m.fs, m.seq, m.alloc = nil, nil, nil
+	m.checker = nil
+	m.ring, m.ringPos, m.ringLen = nil, 0, 0
+}
+
 // hierarchies returns the per-node cache hierarchies indexed by node ID.
 func (m *Machine) hierarchies() []*cache.Hierarchy {
 	hs := make([]*cache.Hierarchy, len(m.nodes))

@@ -126,7 +126,8 @@ func acquireMachine(cfg Config, ec engine.Config) *engine.Machine {
 }
 
 // releaseMachine returns a machine that completed a run successfully to
-// the pool. Failed runs never release: their machines may hold aborted
+// the pool, trimmed of its per-run state (the run's Result must already
+// be filled). Failed runs never release: their machines may hold aborted
 // scheduler state and are kept out for diagnostics.
 func releaseMachine(cfg Config, m *engine.Machine) bool {
 	if !poolable(cfg) {
@@ -137,6 +138,7 @@ func releaseMachine(cfg Config, m *engine.Machine) bool {
 	if machinePool.n >= maxPooledMachines {
 		return false
 	}
+	m.Trim()
 	cl := poolClass(cfg)
 	machinePool.free[cl] = append(machinePool.free[cl], m)
 	machinePool.n++
