@@ -132,6 +132,33 @@ func TestPointKeyStability(t *testing.T) {
 			t.Errorf("perturbing %s did not change the key", name)
 		}
 	}
+	// Spellings of one configuration key identically: the CLIs say
+	// "off" where a daemon request leaves the field empty.
+	same := []struct {
+		name string
+		a, b func(*Config)
+	}{
+		{"check", func(c *Config) { c.Check = "" }, func(c *Config) { c.Check = CheckOff }},
+		{"scheduler", func(c *Config) { c.Scheduler = "" }, func(c *Config) { c.Scheduler = "runahead" }},
+		{"dirformat", func(c *Config) { c.DirFormat = "" }, func(c *Config) { c.DirFormat = "full" }},
+		{"retry", func(c *Config) { c.Retry = "max:16" }, func(c *Config) { c.Retry = "max:16,base:100,cap:10000,jitter:1" }},
+	}
+	for _, tc := range same {
+		a, b := cfg, cfg
+		tc.a(&a)
+		tc.b(&b)
+		ka, err := PointKey(a, "mp3d", ScaleTest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kb, err := PointKey(b, "mp3d", ScaleTest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ka != kb {
+			t.Errorf("%s: equal configurations key differently", tc.name)
+		}
+	}
 }
 
 // TestCacheSchemaInvalidation simulates an engine schema bump: entries

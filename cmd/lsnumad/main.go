@@ -49,7 +49,7 @@ import (
 	"syscall"
 	"time"
 
-	"lsnuma"
+	"lsnuma/internal/cli"
 	"lsnuma/internal/server"
 	"lsnuma/internal/server/journal"
 	"lsnuma/internal/version"
@@ -105,6 +105,7 @@ func (q *quantumFlag) Set(s string) error {
 }
 
 func main() {
+	flags := cli.New(flag.CommandLine, "lsnumad", []string{"j", "point-timeout"}, cli.Cache)
 	var (
 		addr         = flag.String("addr", "127.0.0.1:8347", "listen address")
 		jobs         = flag.Int("jobs", 2, "concurrent job slots")
@@ -114,33 +115,21 @@ func main() {
 		retrySeed    = flag.Duration("retry-seed", 0, "assumed job duration for Retry-After before the first job completes (0 = 1s)")
 		pprofAddr    = flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060); bind loopback unless you mean to expose it")
 		stateDir     = flag.String("state-dir", "", "journal accepted jobs under this directory and replay incomplete ones on startup (implies a result cache at <state-dir>/cache unless -cache-dir or -no-cache overrides)")
-		parallelism  = flag.Int("j", 0, "per-job simulation parallelism (0 = all cores)")
-		pointTimeout = flag.Duration("point-timeout", 0, "per-point wall clock ceiling (0 = none); requests may lower it, never raise it")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful drain deadline on SIGTERM/SIGINT")
-		cacheFlag    = flag.Bool("cache", false, "memoize point results in the persistent result cache (default dir .lscache)")
-		cacheDir     = flag.String("cache-dir", "", "result cache directory (implies -cache)")
-		noCache      = flag.Bool("no-cache", false, "disable the persistent cache even if -cache/-cache-dir is given (single-flight dedup stays on)")
-		showVersion  = flag.Bool("version", false, "print the build version and exit")
 	)
 	flag.Var(&quantum, "quantum", "deficit-round-robin quantum in points (0 = default 8); repeatable tenant=N forms weight individual tenants (e.g. -quantum 8 -quantum gold=16)")
-	flag.Parse()
-	if *showVersion {
-		fmt.Println(version.String("lsnumad"))
-		return
-	}
+	flags.Parse(os.Args[1:])
 
 	// -state-dir implies a persistent cache: resumption works by
 	// re-reading completed points, so a journal without a cache would
-	// replay jobs from scratch.
-	if *stateDir != "" && *cacheDir == "" && !*cacheFlag {
-		*cacheDir = filepath.Join(*stateDir, "cache")
+	// replay jobs from scratch. Without a persistent cache the server
+	// still deduplicates concurrent identical points.
+	if *stateDir != "" && flags.CacheDir == "" && !flags.Cache {
+		flags.CacheDir = filepath.Join(*stateDir, "cache")
 	}
-	var cache *lsnuma.ResultCache
-	if (*cacheFlag || *cacheDir != "") && !*noCache {
-		var err error
-		if cache, err = lsnuma.OpenResultCache(*cacheDir); err != nil {
-			fatal(err)
-		}
+	cache, err := flags.OpenCache()
+	if err != nil {
+		fatal(err)
 	}
 
 	logf := func(format string, args ...any) {
@@ -148,7 +137,6 @@ func main() {
 	}
 	var jn *journal.Journal
 	if *stateDir != "" {
-		var err error
 		if jn, err = journal.Open(*stateDir, logf); err != nil {
 			fatal(err)
 		}
@@ -162,8 +150,8 @@ func main() {
 		TenantQuanta:     quantum.per,
 		RetrySeed:        *retrySeed,
 		Journal:          jn,
-		Parallelism:      *parallelism,
-		PointTimeout:     *pointTimeout,
+		Parallelism:      flags.Parallelism,
+		PointTimeout:     flags.PointTimeout,
 		Cache:            cache,
 		Logf:             logf,
 	})

@@ -22,200 +22,132 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"syscall"
 
 	"lsnuma"
+	"lsnuma/internal/cli"
 	"lsnuma/internal/prof"
 	"lsnuma/internal/report"
-	"lsnuma/internal/version"
+	"lsnuma/internal/workload"
 )
-
-var (
-	scaleFlag    = flag.String("scale", "test", "problem size: test, small, paper")
-	parallelism  = flag.Int("j", 0, "simulations to run concurrently (0 = all cores)")
-	timeout      = flag.Duration("timeout", 0, "abort the report after this long (0 = no limit)")
-	pointTimeout = flag.Duration("point-timeout", 0, "abort any single point after this long; the point becomes an annotated hole (0 = no limit)")
-	checkFlag    = flag.String("check", "off", "online coherence invariant checking: off, touched, full")
-	faultsFlag   = flag.String("faults", "", "inject protocol/message faults into every point: class[@arg][:seed],...")
-	mshrsFlag    = flag.Int("mshrs", 0, "per-home directory transaction buffers (0 = unlimited)")
-	retryFlag    = flag.String("retry", "", "NACK/loss retry policy: max:N,base:C,cap:C,jitter:S (empty = retries off)")
-	schedFlag    = flag.String("scheduler", "", "scheduler for every point: runahead (default) or serial")
-	dirfmtFlag   = flag.String("dirformat", "", "directory wire format for every point: full (default), limited:i, or coarse:K")
-	cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile   = flag.String("memprofile", "", "write a heap profile to this file on exit")
-	mutexprofile = flag.String("mutexprofile", "", "write a mutex-contention profile to this file on exit")
-	blockprofile = flag.String("blockprofile", "", "write a goroutine-blocking profile to this file on exit")
-	cacheFlag    = flag.Bool("cache", false, "memoize point results in the persistent result cache (default dir .lscache)")
-	cacheDir     = flag.String("cache-dir", "", "result cache directory (implies -cache)")
-	noCache      = flag.Bool("no-cache", false, "disable the result cache even if -cache/-cache-dir is given")
-)
-
-// resultCache is the persistent point-result cache (nil when disabled).
-var resultCache *lsnuma.ResultCache
-
-// checkLevel is the parsed -check flag, applied to every simulation
-// point by robust.
-var checkLevel lsnuma.CheckLevel
-
-// failed counts simulation points that could not be completed; a partial
-// report still renders (failed figures become annotated holes) but the
-// process exits non-zero.
-var failed int
 
 // stopProfiles flushes any active profiles; fatal calls it so profiles
 // survive error exits (os.Exit skips the deferred call).
 var stopProfiles = func() {}
 
-// runCtx is the cancellation context shared by every simulation of the
-// invocation (set up in main from -timeout).
-var runCtx = context.Background()
-
 func main() {
+	flags := cli.New(flag.CommandLine, "lsreport", cli.Machine, cli.Run, cli.Cache)
 	var (
-		fig         = flag.Int("fig", 0, "regenerate figure 3, 4, 5, 6 or 7")
-		table       = flag.Int("table", 0, "regenerate table 2, 3 or 4")
-		ablations   = flag.Bool("ablations", false, "run the §5.5 ablation variants")
-		all         = flag.Bool("all", false, "regenerate every figure and table")
-		showVersion = flag.Bool("version", false, "print the build version and exit")
+		scaleName = flag.String("scale", "test", "problem size: test, small, paper")
+		fig       = flag.Int("fig", 0, "regenerate figure 3, 4, 5, 6 or 7")
+		table     = flag.Int("table", 0, "regenerate table 2, 3 or 4")
+		ablations = flag.Bool("ablations", false, "run the §5.5 ablation variants")
+		all       = flag.Bool("all", false, "regenerate every figure and table")
 	)
-	flag.Parse()
-	if *showVersion {
-		fmt.Println(version.String("lsreport"))
-		return
+	profiles := prof.Flags(flag.CommandLine)
+	flags.Parse(os.Args[1:])
+	if *fig == 0 && *table == 0 && !*ablations && !*all {
+		flag.Usage()
+		os.Exit(2)
+	}
+
+	scale, err := workload.ParseScale(*scaleName)
+	if err != nil {
+		fatal(err)
+	}
+	// The machine flags apply to every point; every artifact has 4-CPU
+	// points of the default configuration.
+	if err := flags.Apply(lsnuma.DefaultConfig()).Validate(); err != nil {
+		fatal(err)
+	}
+	opts, err := flags.Options()
+	if err != nil {
+		fatal(err)
 	}
 
 	// SIGINT/SIGTERM cancel the shared run context: in-flight points
 	// abort at their next poll, the report renders with annotated holes
 	// and the process exits non-zero — graceful degradation, not a kill.
-	var stopSignals context.CancelFunc
-	runCtx, stopSignals = signal.NotifyContext(runCtx, os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
+	ctx, stop := flags.Context()
+	defer stop()
 
-	stop, err := prof.Start(prof.Options{
-		CPU: *cpuprofile, Mem: *memprofile,
-		Mutex: *mutexprofile, Block: *blockprofile,
-	})
+	stopProf, err := prof.Start(*profiles)
 	if err != nil {
 		fatal(err)
 	}
-	stopProfiles = stop
-	defer stop()
+	stopProfiles = stopProf
 
-	if checkLevel, err = lsnuma.ParseCheckLevel(*checkFlag); err != nil {
-		fatal(err)
-	}
-
-	if (*cacheFlag || *cacheDir != "") && !*noCache {
-		if resultCache, err = lsnuma.OpenResultCache(*cacheDir); err != nil {
-			fatal(err)
-		}
-	}
-
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		runCtx, cancel = context.WithTimeout(runCtx, *timeout)
-		defer cancel()
-	}
-
+	r := &reporter{ctx: ctx, opts: opts, flags: flags, scale: scale}
 	if *all {
 		for _, f := range []int{3, 4, 5, 6, 7} {
-			figure(f)
+			r.figure(f)
 		}
 		for _, tb := range []int{2, 3, 4} {
-			tableOut(tb)
+			r.table(tb)
 		}
-		runAblations()
-		exit()
+		r.ablations()
+		r.exit()
 	}
-	ran := false
 	if *fig != 0 {
-		figure(*fig)
-		ran = true
+		r.figure(*fig)
 	}
 	if *table != 0 {
-		tableOut(*table)
-		ran = true
+		r.table(*table)
 	}
 	if *ablations {
-		runAblations()
-		ran = true
+		r.ablations()
 	}
-	if !ran {
-		flag.Usage()
-		os.Exit(2)
-	}
-	exit()
+	r.exit()
+}
+
+// reporter runs the simulation points of one invocation. Failed points
+// become annotated holes in the output and are counted in failed.
+type reporter struct {
+	ctx    context.Context
+	opts   lsnuma.RunOptions
+	flags  *cli.Flags
+	scale  lsnuma.Scale
+	failed int
 }
 
 // exit terminates the report: non-zero when any point failed, so a
 // partial report is distinguishable from a clean one.
-func exit() {
+func (r *reporter) exit() {
 	stopProfiles()
-	printCacheStats()
-	if err := runCtx.Err(); err != nil {
+	// Cache traffic goes to stderr so that warm and cold invocations
+	// keep byte-identical stdout.
+	if c := r.opts.Cache; c != nil {
+		s := c.Stats()
+		fmt.Fprintf(os.Stderr, "lsreport: cache hits=%d misses=%d skips=%d errors=%d\n",
+			s.Hits, s.Misses, s.Skips, s.Errors)
+	}
+	if err := r.ctx.Err(); err != nil {
 		fmt.Fprintf(os.Stderr, "lsreport: interrupted (%v); output above is partial with annotated holes\n", err)
 	}
-	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "lsreport: %d simulation point(s) failed (output above is partial)\n", failed)
+	if r.failed > 0 {
+		fmt.Fprintf(os.Stderr, "lsreport: %d simulation point(s) failed (output above is partial)\n", r.failed)
 		os.Exit(1)
 	}
 	os.Exit(0)
 }
 
-// printCacheStats summarizes result-cache traffic on stderr (stderr so
-// that warm and cold invocations keep byte-identical stdout).
-func printCacheStats() {
-	if resultCache == nil {
-		return
-	}
-	s := resultCache.Stats()
-	fmt.Fprintf(os.Stderr, "lsreport: cache hits=%d misses=%d skips=%d errors=%d\n",
-		s.Hits, s.Misses, s.Skips, s.Errors)
-}
-
-func scale() lsnuma.Scale {
-	switch *scaleFlag {
-	case "test":
-		return lsnuma.ScaleTest
-	case "small":
-		return lsnuma.ScaleSmall
-	case "paper":
-		return lsnuma.ScalePaper
-	default:
-		fatal(fmt.Errorf("unknown scale %q", *scaleFlag))
-		return 0
-	}
-}
-
-func opts() lsnuma.RunOptions {
-	return lsnuma.RunOptions{Parallelism: *parallelism, PointTimeout: *pointTimeout, Cache: resultCache}
-}
-
-// robust applies the report-wide -check / -faults / -mshrs / -retry /
-// -scheduler flags to one point's configuration.
-func robust(cfg lsnuma.Config) lsnuma.Config {
-	cfg.Check = checkLevel
-	cfg.Faults = *faultsFlag
-	cfg.DirMSHRs = *mshrsFlag
-	cfg.Retry = *retryFlag
-	cfg.Scheduler = *schedFlag
-	cfg.DirFormat = *dirfmtFlag
-	return cfg
+// point is one simulation point of the report, with the machine flags
+// applied to its configuration.
+func (r *reporter) point(label string, cfg lsnuma.Config, workload string) lsnuma.Point {
+	return lsnuma.Point{Label: label, Config: r.flags.Apply(cfg), Workload: workload, Scale: r.scale}
 }
 
 // compare runs the workload under all protocols; a failed protocol
 // leaves a hole in the map (annotated on stderr) instead of killing the
 // report.
-func compare(cfg lsnuma.Config, workload string) map[lsnuma.Protocol]*lsnuma.Result {
+func (r *reporter) compare(workload string) map[lsnuma.Protocol]*lsnuma.Result {
 	protos := lsnuma.Protocols()
 	points := make([]lsnuma.Point, len(protos))
 	for i, p := range protos {
-		c := robust(cfg)
+		c := lsnuma.WorkloadConfig(workload)
 		c.Protocol = p
-		points[i] = lsnuma.Point{Label: fmt.Sprintf("%s/%s", workload, p), Config: c, Workload: workload, Scale: scale()}
+		points[i] = r.point(fmt.Sprintf("%s/%s", workload, p), c, workload)
 	}
-	results := runAll(points)
+	results := r.runAll(points)
 	out := make(map[lsnuma.Protocol]*lsnuma.Result, len(protos))
 	for i, p := range protos {
 		if results[i].Result != nil {
@@ -228,21 +160,21 @@ func compare(cfg lsnuma.Config, workload string) map[lsnuma.Protocol]*lsnuma.Res
 // runAll runs a set of points concurrently. Failed points are reported
 // on stderr (with their diagnostic bundle) and come back with a nil
 // Result — an annotated hole, not a dead report.
-func runAll(points []lsnuma.Point) []lsnuma.PointResult {
-	results, err := lsnuma.RunAll(runCtx, points, opts())
+func (r *reporter) runAll(points []lsnuma.Point) []lsnuma.PointResult {
+	results, err := lsnuma.RunAll(r.ctx, points, r.opts)
 	if err != nil {
-		for _, r := range results {
-			if r.Err == nil {
+		for _, pr := range results {
+			if pr.Err == nil {
 				continue
 			}
-			failed++
-			fmt.Fprintf(os.Stderr, "lsreport: %s: %v\n", r.Label, r.Err)
-			if b := r.Repro; b != nil {
+			r.failed++
+			fmt.Fprintf(os.Stderr, "lsreport: %s: %v\n", pr.Label, pr.Err)
+			if b := pr.Repro; b != nil {
 				if b.Diagnosis != "" {
-					fmt.Fprintf(os.Stderr, "lsreport: %s diagnosis:\n%s\n", r.Label, b.Diagnosis)
+					fmt.Fprintf(os.Stderr, "lsreport: %s diagnosis:\n%s\n", pr.Label, b.Diagnosis)
 				}
 				if b.Retry != "" {
-					fmt.Fprintf(os.Stderr, "lsreport: %s: %s\n", r.Label, b.Retry)
+					fmt.Fprintf(os.Stderr, "lsreport: %s: %s\n", pr.Label, b.Retry)
 				}
 			}
 		}
@@ -250,32 +182,25 @@ func runAll(points []lsnuma.Point) []lsnuma.PointResult {
 	return results
 }
 
-func figure(n int) {
+func (r *reporter) figure(n int) {
 	switch n {
 	case 3:
-		fmt.Println(report.BehaviorFigure("Figure 3: Behavior of MP3D",
-			compare(lsnuma.DefaultConfig(), "mp3d")))
+		fmt.Println(report.BehaviorFigure("Figure 3: Behavior of MP3D", r.compare("mp3d")))
 	case 4:
-		fmt.Println(report.BehaviorFigure("Figure 4: Behavior of Cholesky",
-			compare(lsnuma.DefaultConfig(), "cholesky")))
+		fmt.Println(report.BehaviorFigure("Figure 4: Behavior of Cholesky", r.compare("cholesky")))
 	case 5:
 		// 3 node counts x 3 protocols, all concurrent.
 		nodeCounts := []int{4, 16, 32}
 		var points []lsnuma.Point
 		for _, nodes := range nodeCounts {
 			for _, p := range lsnuma.Protocols() {
-				cfg := robust(lsnuma.DefaultConfig())
+				cfg := lsnuma.DefaultConfig()
 				cfg.Nodes = nodes
 				cfg.Protocol = p
-				points = append(points, lsnuma.Point{
-					Label:    fmt.Sprintf("procs=%d/%s", nodes, p),
-					Config:   cfg,
-					Workload: "cholesky",
-					Scale:    scale(),
-				})
+				points = append(points, r.point(fmt.Sprintf("procs=%d/%s", nodes, p), cfg, "cholesky"))
 			}
 		}
-		results := runAll(points)
+		results := r.runAll(points)
 		byProcs := map[int]map[lsnuma.Protocol]*lsnuma.Result{}
 		i := 0
 		for _, nodes := range nodeCounts {
@@ -290,29 +215,26 @@ func figure(n int) {
 		fmt.Println(report.InvalidationFigure(
 			"Figure 5: Invalidation traffic for Cholesky at 4, 16, and 32 processors", byProcs))
 	case 6:
-		fmt.Println(report.BehaviorFigure("Figure 6: Behavior of LU",
-			compare(lsnuma.DefaultConfig(), "lu")))
+		fmt.Println(report.BehaviorFigure("Figure 6: Behavior of LU", r.compare("lu")))
 	case 7:
-		fmt.Println(report.BehaviorFigure("Figure 7: Behavior of OLTP",
-			compare(lsnuma.OLTPConfig(), "oltp")))
+		fmt.Println(report.BehaviorFigure("Figure 7: Behavior of OLTP", r.compare("oltp")))
 	default:
 		fatal(fmt.Errorf("no figure %d (have 3, 4, 5, 6, 7)", n))
 	}
 }
 
-func tableOut(n int) {
+func (r *reporter) table(n int) {
 	switch n {
 	case 2:
-		cfg := robust(lsnuma.OLTPConfig())
+		cfg := lsnuma.OLTPConfig()
 		cfg.Protocol = lsnuma.Baseline
-		pts := []lsnuma.Point{{Label: "table2/oltp", Config: cfg, Workload: "oltp", Scale: scale()}}
-		if res := runAll(pts)[0].Result; res != nil {
+		if res := r.runAll([]lsnuma.Point{r.point("table2/oltp", cfg, "oltp")})[0].Result; res != nil {
 			fmt.Println(report.Table2(res))
 		} else {
 			fmt.Println("Table 2: SKIPPED (simulation failed; see stderr)")
 		}
 	case 3:
-		res := compare(lsnuma.OLTPConfig(), "oltp")
+		res := r.compare("oltp")
 		if res[lsnuma.LS] == nil || res[lsnuma.AD] == nil {
 			fmt.Println("Table 3: SKIPPED (simulation failed; see stderr)")
 			break
@@ -322,18 +244,13 @@ func tableOut(n int) {
 		blocks := []uint64{16, 32, 64, 128, 256}
 		var points []lsnuma.Point
 		for _, block := range blocks {
-			cfg := robust(lsnuma.OLTPConfig())
+			cfg := lsnuma.OLTPConfig()
 			cfg.Protocol = lsnuma.Baseline
 			cfg.BlockSize = block
 			cfg.TrackFalseSharing = true
-			points = append(points, lsnuma.Point{
-				Label:    fmt.Sprintf("block=%dB", block),
-				Config:   cfg,
-				Workload: "oltp",
-				Scale:    scale(),
-			})
+			points = append(points, r.point(fmt.Sprintf("block=%dB", block), cfg, "oltp"))
 		}
-		results := runAll(points)
+		results := r.runAll(points)
 		byBlock := map[uint64]*lsnuma.Result{}
 		for i, block := range blocks {
 			if results[i].Result != nil {
@@ -346,37 +263,35 @@ func tableOut(n int) {
 	}
 }
 
-// runAblations reproduces the §5.5 variation analysis: default tagging,
-// the keep-on-write-miss de-tag heuristic, and two-step hysteresis. The
+// ablations reproduces the §5.5 variation analysis: default tagging, the
+// keep-on-write-miss de-tag heuristic, and two-step hysteresis. The
 // variants are independent simulations and run concurrently.
-func runAblations() {
+func (r *reporter) ablations() {
 	fmt.Println("=== §5.5 ablations (execution time / total traffic / global read misses) ===")
-	type variantCase struct {
+	cases := []struct {
 		name     string
 		workload string
-		cfg      lsnuma.Config
 		variant  lsnuma.Variant
 		protocol lsnuma.Protocol
-	}
-	cases := []variantCase{
-		{"LS plain (mp3d)", "mp3d", lsnuma.DefaultConfig(), lsnuma.Variant{}, lsnuma.LS},
-		{"LS default-tagged (mp3d)", "mp3d", lsnuma.DefaultConfig(), lsnuma.Variant{DefaultTagged: true}, lsnuma.LS},
-		{"AD plain (mp3d)", "mp3d", lsnuma.DefaultConfig(), lsnuma.Variant{}, lsnuma.AD},
-		{"AD default-tagged (mp3d)", "mp3d", lsnuma.DefaultConfig(), lsnuma.Variant{DefaultTagged: true}, lsnuma.AD},
-		{"LS plain (oltp)", "oltp", lsnuma.OLTPConfig(), lsnuma.Variant{}, lsnuma.LS},
-		{"LS default-tagged (oltp)", "oltp", lsnuma.OLTPConfig(), lsnuma.Variant{DefaultTagged: true}, lsnuma.LS},
-		{"LS keep-on-write-miss (oltp)", "oltp", lsnuma.OLTPConfig(), lsnuma.Variant{KeepOnWriteMiss: true}, lsnuma.LS},
-		{"LS tag-hysteresis=2 (oltp)", "oltp", lsnuma.OLTPConfig(), lsnuma.Variant{TagHysteresis: 2}, lsnuma.LS},
-		{"LS detag-hysteresis=2 (oltp)", "oltp", lsnuma.OLTPConfig(), lsnuma.Variant{DetagHysteresis: 2}, lsnuma.LS},
+	}{
+		{"LS plain (mp3d)", "mp3d", lsnuma.Variant{}, lsnuma.LS},
+		{"LS default-tagged (mp3d)", "mp3d", lsnuma.Variant{DefaultTagged: true}, lsnuma.LS},
+		{"AD plain (mp3d)", "mp3d", lsnuma.Variant{}, lsnuma.AD},
+		{"AD default-tagged (mp3d)", "mp3d", lsnuma.Variant{DefaultTagged: true}, lsnuma.AD},
+		{"LS plain (oltp)", "oltp", lsnuma.Variant{}, lsnuma.LS},
+		{"LS default-tagged (oltp)", "oltp", lsnuma.Variant{DefaultTagged: true}, lsnuma.LS},
+		{"LS keep-on-write-miss (oltp)", "oltp", lsnuma.Variant{KeepOnWriteMiss: true}, lsnuma.LS},
+		{"LS tag-hysteresis=2 (oltp)", "oltp", lsnuma.Variant{TagHysteresis: 2}, lsnuma.LS},
+		{"LS detag-hysteresis=2 (oltp)", "oltp", lsnuma.Variant{DetagHysteresis: 2}, lsnuma.LS},
 	}
 	points := make([]lsnuma.Point, len(cases))
 	for i, c := range cases {
-		cfg := robust(c.cfg)
+		cfg := lsnuma.WorkloadConfig(c.workload)
 		cfg.Protocol = c.protocol
 		cfg.Variant = c.variant
-		points[i] = lsnuma.Point{Label: c.name, Config: cfg, Workload: c.workload, Scale: scale()}
+		points[i] = r.point(c.name, cfg, c.workload)
 	}
-	results := runAll(points)
+	results := r.runAll(points)
 	for i, c := range cases {
 		res := results[i].Result
 		if res == nil {

@@ -15,9 +15,10 @@ import (
 	"sort"
 
 	"lsnuma"
+	"lsnuma/internal/cli"
 	"lsnuma/internal/prof"
 	"lsnuma/internal/report"
-	"lsnuma/internal/version"
+	"lsnuma/internal/workload"
 )
 
 // stopProfiles flushes any active profiles; fatal calls it so profiles
@@ -25,6 +26,7 @@ import (
 var stopProfiles = func() {}
 
 func main() {
+	flags := cli.New(flag.CommandLine, "lssim", cli.Machine)
 	var (
 		workloadName = flag.String("workload", "mp3d", "workload: mp3d, cholesky, lu, oltp")
 		protoName    = flag.String("protocol", "all", "protocol: Baseline, AD, LS, or all")
@@ -41,39 +43,15 @@ func main() {
 		figure       = flag.Bool("figure", false, "render the three-panel behaviour figure (needs -protocol all)")
 		regions      = flag.Bool("regions", false, "print per-region load-store coverage")
 		jsonOut      = flag.Bool("json", false, "emit results as JSON instead of text")
-		scheduler    = flag.String("scheduler", "", "scheduler: runahead (default) or serial (per-access handshake; slower, for debugging/differential runs)")
-		dirformat    = flag.String("dirformat", "", "directory wire format: full (default), limited:i, or coarse:K")
-		checkLevel   = flag.String("check", "off", "online coherence invariant checking: off, touched, full")
-		faults       = flag.String("faults", "", "inject protocol/message faults: class[@arg][:seed],... (see lsnuma.Config.Faults)")
-		mshrs        = flag.Int("mshrs", 0, "per-home directory transaction buffers (0 = unlimited)")
-		retry        = flag.String("retry", "", "NACK/loss retry policy: max:N,base:C,cap:C,jitter:S (empty = retries off)")
-		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile   = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		mutexprofile = flag.String("mutexprofile", "", "write a mutex-contention profile to this file on exit")
-		blockprofile = flag.String("blockprofile", "", "write a goroutine-blocking profile to this file on exit")
-		showVersion  = flag.Bool("version", false, "print the build version and exit")
 	)
-	flag.Parse()
-	if *showVersion {
-		fmt.Println(version.String("lssim"))
-		return
-	}
+	profiles := prof.Flags(flag.CommandLine)
+	flags.Parse(os.Args[1:])
 
-	stop, err := prof.Start(prof.Options{
-		CPU: *cpuprofile, Mem: *memprofile,
-		Mutex: *mutexprofile, Block: *blockprofile,
-	})
+	scale, err := workload.ParseScale(*scaleName)
 	if err != nil {
 		fatal(err)
 	}
-	stopProfiles = stop
-	defer stop()
-
-	scale, err := parseScale(*scaleName)
-	if err != nil {
-		fatal(err)
-	}
-	cfg := configFor(*workloadName)
+	cfg := flags.Apply(lsnuma.WorkloadConfig(*workloadName))
 	cfg.Nodes = *nodes
 	if *block != 0 {
 		cfg.BlockSize = *block
@@ -85,20 +63,25 @@ func main() {
 		cfg.L2.Size = *l2Size
 	}
 	cfg.TrackFalseSharing = *falseShare
-	cfg.Scheduler = *scheduler
-	cfg.DirFormat = *dirformat
-	if cfg.Check, err = lsnuma.ParseCheckLevel(*checkLevel); err != nil {
-		fatal(err)
-	}
-	cfg.Faults = *faults
-	cfg.DirMSHRs = *mshrs
-	cfg.Retry = *retry
 	cfg.Variant = lsnuma.Variant{
 		DefaultTagged:   *defaultTag,
 		KeepOnWriteMiss: *keepOnMiss,
 		TagHysteresis:   *tagHyst,
 		DetagHysteresis: *detagHyst,
 	}
+	if *protoName != "all" {
+		cfg.Protocol = lsnuma.Protocol(*protoName)
+	}
+	if err := cfg.Validate(); err != nil {
+		fatal(err)
+	}
+
+	stop, err := prof.Start(*profiles)
+	if err != nil {
+		fatal(err)
+	}
+	stopProfiles = stop
+	defer stop()
 
 	if *protoName == "all" {
 		results, err := lsnuma.Compare(cfg, *workloadName, scale)
@@ -121,7 +104,6 @@ func main() {
 		return
 	}
 
-	cfg.Protocol = lsnuma.Protocol(*protoName)
 	res, err := lsnuma.Run(cfg, *workloadName, scale)
 	if err != nil {
 		fatal(err)
@@ -153,26 +135,6 @@ func printRegions(r *lsnuma.Result) {
 			n, c.LoadStoreWrites, c.LoadStoreEliminated, 100*c.LoadStoreCoverage,
 			c.MigratoryWrites, c.MigratoryEliminated)
 	}
-}
-
-func parseScale(s string) (lsnuma.Scale, error) {
-	switch s {
-	case "test":
-		return lsnuma.ScaleTest, nil
-	case "small":
-		return lsnuma.ScaleSmall, nil
-	case "paper":
-		return lsnuma.ScalePaper, nil
-	default:
-		return 0, fmt.Errorf("unknown scale %q (want test, small, paper)", s)
-	}
-}
-
-func configFor(workload string) lsnuma.Config {
-	if workload == "oltp" {
-		return lsnuma.OLTPConfig()
-	}
-	return lsnuma.DefaultConfig()
 }
 
 func printResult(r *lsnuma.Result) {

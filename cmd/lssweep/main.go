@@ -24,83 +24,42 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"syscall"
 
 	"lsnuma"
+	"lsnuma/internal/cli"
 	"lsnuma/internal/report"
-	"lsnuma/internal/version"
+	"lsnuma/internal/workload"
 )
 
 func main() {
+	flags := cli.New(flag.CommandLine, "lssweep", cli.Machine, cli.Run, cli.Cache)
 	var (
 		workloadName = flag.String("workload", "mp3d", "workload: mp3d, cholesky, lu, oltp")
 		sweep        = flag.String("sweep", "block", "parameter to sweep: block, l1, l2, nodes")
 		scaleName    = flag.String("scale", "test", "problem size: test, small, paper")
-		parallelism  = flag.Int("j", 0, "simulations to run concurrently (0 = all cores)")
-		timeout      = flag.Duration("timeout", 0, "abort the sweep after this long (0 = no limit)")
-		pointTimeout = flag.Duration("point-timeout", 0, "abort any single cell after this long; the cell becomes an annotated hole (0 = no limit)")
-		checkLevel   = flag.String("check", "off", "online coherence invariant checking: off, touched, full")
-		faults       = flag.String("faults", "", "inject protocol/message faults into every cell: class[@arg][:seed],...")
-		mshrs        = flag.Int("mshrs", 0, "per-home directory transaction buffers (0 = unlimited)")
-		retry        = flag.String("retry", "", "NACK/loss retry policy: max:N,base:C,cap:C,jitter:S (empty = retries off)")
-		scheduler    = flag.String("scheduler", "", "scheduler for every cell: runahead (default) or serial")
 		cpus         = flag.Int("cpus", 0, "processor count for every cell (0 = workload default; the nodes sweep overrides this)")
-		dirformat    = flag.String("dirformat", "", "directory wire format: full (default), limited:i, or coarse:K")
-		cacheFlag    = flag.Bool("cache", false, "memoize point results in the persistent result cache (default dir .lscache)")
-		cacheDir     = flag.String("cache-dir", "", "result cache directory (implies -cache)")
-		noCache      = flag.Bool("no-cache", false, "disable the result cache even if -cache/-cache-dir is given")
-		showVersion  = flag.Bool("version", false, "print the build version and exit")
 	)
-	flag.Parse()
-	if *showVersion {
-		fmt.Println(version.String("lssweep"))
-		return
-	}
+	flags.Parse(os.Args[1:])
 
-	var resultCache *lsnuma.ResultCache
-	if (*cacheFlag || *cacheDir != "") && !*noCache {
-		var err error
-		if resultCache, err = lsnuma.OpenResultCache(*cacheDir); err != nil {
-			fatal(err)
-		}
-	}
-
-	var scale lsnuma.Scale
-	switch *scaleName {
-	case "test":
-		scale = lsnuma.ScaleTest
-	case "small":
-		scale = lsnuma.ScaleSmall
-	case "paper":
-		scale = lsnuma.ScalePaper
-	default:
-		fatal(fmt.Errorf("unknown scale %q", *scaleName))
-	}
-
-	base := lsnuma.DefaultConfig()
-	if *workloadName == "oltp" {
-		base = lsnuma.OLTPConfig()
-	}
-	check, err := lsnuma.ParseCheckLevel(*checkLevel)
+	scale, err := workload.ParseScale(*scaleName)
 	if err != nil {
 		fatal(err)
 	}
-	base.Check = check
-	base.Faults = *faults
-	base.DirMSHRs = *mshrs
-	base.Retry = *retry
-	base.Scheduler = *scheduler
+	param, err := lsnuma.ParseSweepParam(*sweep)
+	if err != nil {
+		fatal(err)
+	}
+	base := flags.Apply(lsnuma.WorkloadConfig(*workloadName))
 	if *cpus > 0 {
 		base.Nodes = *cpus
 	}
-	base.DirFormat = *dirformat
-
-	param, err := lsnuma.ParseSweepParam(*sweep)
+	if err := base.Validate(); err != nil {
+		fatal(err)
+	}
+	opts, err := flags.Options()
 	if err != nil {
 		fatal(err)
 	}
@@ -108,19 +67,13 @@ func main() {
 	// SIGINT/SIGTERM cancel the run context: in-flight cells abort at
 	// their next poll, untouched cells are skipped, and the partial
 	// results below print with annotated holes.
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
+	ctx, stop := flags.Context()
+	defer stop()
 
 	// A failed cell must not kill the sweep: print every completed cell,
 	// annotate the holes with their error and diagnostic bundle, and exit
 	// non-zero at the end if anything failed.
-	results, runErr := lsnuma.Sweep(ctx, base, param, *workloadName, scale,
-		lsnuma.RunOptions{Parallelism: *parallelism, PointTimeout: *pointTimeout, Cache: resultCache})
+	results, runErr := lsnuma.Sweep(ctx, base, param, *workloadName, scale, opts)
 
 	failed := 0
 	for _, pt := range results {
@@ -130,8 +83,8 @@ func main() {
 	}
 	// Cache traffic goes to stderr so warm and cold invocations keep
 	// byte-identical stdout (the CI cached-sweep job diffs it).
-	if resultCache != nil {
-		s := resultCache.Stats()
+	if opts.Cache != nil {
+		s := opts.Cache.Stats()
 		fmt.Fprintf(os.Stderr, "lssweep: cache hits=%d misses=%d skips=%d errors=%d\n",
 			s.Hits, s.Misses, s.Skips, s.Errors)
 	}

@@ -15,9 +15,8 @@ import (
 	"os"
 
 	"lsnuma"
-	"lsnuma/internal/engine"
+	"lsnuma/internal/cli"
 	"lsnuma/internal/trace"
-	"lsnuma/internal/version"
 	"lsnuma/internal/workload"
 	"lsnuma/internal/workload/cholesky"
 	"lsnuma/internal/workload/lu"
@@ -26,6 +25,7 @@ import (
 )
 
 func main() {
+	flags := cli.New(flag.CommandLine, "lstrace", []string{"check", "faults", "scheduler", "dirformat"})
 	var (
 		capture      = flag.Bool("capture", false, "capture a workload trace")
 		replay       = flag.String("replay", "", "replay the given trace file")
@@ -34,60 +34,32 @@ func main() {
 		protoName    = flag.String("protocol", "Baseline", "protocol for capture/replay")
 		scaleName    = flag.String("scale", "test", "problem size for capture")
 		out          = flag.String("o", "trace.lstr", "output trace file for capture")
-		showVersion  = flag.Bool("version", false, "print the build version and exit")
 	)
-	flag.StringVar(&checkFlag, "check", "off", "online coherence invariant checking: off, touched, full")
-	flag.StringVar(&faultsFlag, "faults", "", "inject a protocol fault: class[@afterOp][:seed]")
-	flag.StringVar(&schedFlag, "scheduler", "", "scheduler for replay: runahead (default) or serial (capture always records serially)")
-	flag.StringVar(&dirfmtFlag, "dirformat", "", "directory wire format: full (default), limited:i, or coarse:K")
-	flag.Parse()
-	if *showVersion {
-		fmt.Println(version.String("lstrace"))
-		return
-	}
+	flags.Parse(os.Args[1:])
 
+	// machine returns the validated capture or replay configuration: the
+	// workload's, with the protocol and machine flags applied. Capture and
+	// replay both honour -scheduler; the captured trace is the same under
+	// either.
+	machine := func(workloadName string) lsnuma.Config {
+		cfg := flags.Apply(lsnuma.WorkloadConfig(workloadName))
+		cfg.Protocol = lsnuma.Protocol(*protoName)
+		if err := cfg.Validate(); err != nil {
+			fatal(err)
+		}
+		return cfg
+	}
 	switch {
 	case *capture:
-		doCapture(*workloadName, *protoName, *scaleName, *out)
+		doCapture(machine(*workloadName), *workloadName, *protoName, *scaleName, *out)
 	case *replay != "":
-		doReplay(*replay, *protoName)
+		doReplay(machine(""), *replay, *protoName)
 	case *info != "":
 		doInfo(*info)
 	default:
 		flag.Usage()
 		os.Exit(2)
 	}
-}
-
-// checkFlag / faultsFlag / schedFlag are the robustness and scheduler
-// knobs shared by capture and replay (see lsnuma.Config.Check /
-// Config.Faults / Config.Scheduler). Capture itself always runs
-// serially — the recorder hook forces the serial scheduler — but replay
-// honours the scheduler selection.
-var (
-	checkFlag  string
-	faultsFlag string
-	schedFlag  string
-	dirfmtFlag string
-)
-
-// buildMachine lowers a public config to an engine machine (trace capture
-// needs direct engine access for the recorder hook).
-func buildMachine(workloadName, protoName string) (*engine.Machine, error) {
-	cfg := lsnuma.DefaultConfig()
-	if workloadName == "oltp" {
-		cfg = lsnuma.OLTPConfig()
-	}
-	cfg.Protocol = lsnuma.Protocol(protoName)
-	check, err := lsnuma.ParseCheckLevel(checkFlag)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Check = check
-	cfg.Faults = faultsFlag
-	cfg.Scheduler = schedFlag
-	cfg.DirFormat = dirfmtFlag
-	return lsnuma.NewEngineMachine(cfg)
 }
 
 func newWorkload(name string, scale workload.Scale, cpus int) (workload.Workload, error) {
@@ -105,12 +77,12 @@ func newWorkload(name string, scale workload.Scale, cpus int) (workload.Workload
 	}
 }
 
-func doCapture(workloadName, protoName, scaleName, out string) {
+func doCapture(cfg lsnuma.Config, workloadName, protoName, scaleName, out string) {
 	scale, err := workload.ParseScale(scaleName)
 	if err != nil {
 		fatal(err)
 	}
-	m, err := buildMachine(workloadName, protoName)
+	m, err := lsnuma.NewEngineMachine(cfg)
 	if err != nil {
 		fatal(err)
 	}
@@ -146,7 +118,7 @@ func doCapture(workloadName, protoName, scaleName, out string) {
 		tw.Len(), workloadName, protoName, out)
 }
 
-func doReplay(path, protoName string) {
+func doReplay(cfg lsnuma.Config, path, protoName string) {
 	f, err := os.Open(path)
 	if err != nil {
 		fatal(err)
@@ -156,7 +128,7 @@ func doReplay(path, protoName string) {
 	if err != nil {
 		fatal(err)
 	}
-	m, err := buildMachine("", protoName)
+	m, err := lsnuma.NewEngineMachine(cfg)
 	if err != nil {
 		fatal(err)
 	}

@@ -76,16 +76,6 @@ const (
 	CheckFull CheckLevel = "full"
 )
 
-// ParseCheckLevel converts a level name ("off", "touched", "full"; ""
-// means off) to a CheckLevel.
-func ParseCheckLevel(s string) (CheckLevel, error) {
-	lvl, err := check.ParseLevel(s)
-	if err != nil {
-		return CheckOff, err
-	}
-	return CheckLevel(lvl.String()), nil
-}
-
 // CacheConfig describes one cache level.
 type CacheConfig struct {
 	Size       uint64 // bytes
@@ -200,12 +190,6 @@ type Config struct {
 	// structured starvation error naming the stuck block, its requester
 	// set, and the retry histogram.
 	ProgressWindow uint64
-	// MapDirectory selects the original map-backed directory storage
-	// instead of the default flat paged layout. Simulated results are
-	// bit-identical either way; the map path exists for differential
-	// testing (like the serial scheduler) and costs roughly a
-	// third of the simulator's throughput.
-	MapDirectory bool
 }
 
 // DefaultConfig returns the paper's baseline configuration for the
@@ -230,6 +214,16 @@ func OLTPConfig() Config {
 	c.L2 = CacheConfig{Size: 512 * 1024, Assoc: 1, AccessTime: 10}
 	c.BlockSize = 32
 	return c
+}
+
+// WorkloadConfig returns the paper's configuration for the named
+// workload: OLTPConfig for "oltp", DefaultConfig for the scientific
+// workloads (and anything else).
+func WorkloadConfig(workload string) Config {
+	if workload == "oltp" {
+		return OLTPConfig()
+	}
+	return DefaultConfig()
 }
 
 // engineConfig lowers the public Config to the engine's configuration.
@@ -317,7 +311,6 @@ func (c Config) engineConfig() (engine.Config, error) {
 		Retry:             retry,
 		ProgressWindow:    c.ProgressWindow,
 		MsgFaults:         msgFaults,
-		MapDirectory:      c.MapDirectory,
 		DirFormat:         dirFormat,
 	}, nil
 }

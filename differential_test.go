@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"testing"
 
+	"lsnuma/internal/trace"
 	"lsnuma/internal/workload/micro"
 )
 
@@ -186,6 +187,60 @@ func TestDifferentialAblations(t *testing.T) {
 			runBoth(t, cfg, func(c Config) (*Result, error) {
 				return Run(c, "mp3d", ScaleTest)
 			})
+		})
+	}
+}
+
+// TestDifferentialCapture: trace capture runs under either scheduler —
+// under run-ahead the recorder also sees the operations serviced inline —
+// and records byte-identical traces for every workload.
+func TestDifferentialCapture(t *testing.T) {
+	for _, w := range Workloads() {
+		t.Run(w, func(t *testing.T) {
+			t.Parallel()
+			var traces [2][]byte
+			for i, sched := range []string{"serial", "runahead"} {
+				cfg := WorkloadConfig(w)
+				cfg.Protocol = LS
+				cfg.Scheduler = sched
+				m, err := NewEngineMachine(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wl, err := registry.New(w, ScaleTest, cfg.Nodes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				progs, err := wl.Programs(m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var buf bytes.Buffer
+				tw, err := trace.NewWriter(&buf, cfg.Nodes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				errFn := trace.Capture(m, tw)
+				if err := m.Run(progs); err != nil {
+					t.Fatal(err)
+				}
+				if err := errFn(); err != nil {
+					t.Fatal(err)
+				}
+				if err := tw.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				if sched == "runahead" {
+					if m.RunAheadOps() == 0 {
+						t.Error("run-ahead serviced no operation inline during capture")
+					}
+					t.Logf("%d operations captured, %d serviced inline", tw.Len(), m.RunAheadOps())
+				}
+				traces[i] = buf.Bytes()
+			}
+			if !bytes.Equal(traces[0], traces[1]) {
+				t.Errorf("captured traces differ: serial %d bytes, run-ahead %d bytes", len(traces[0]), len(traces[1]))
+			}
 		})
 	}
 }

@@ -12,30 +12,19 @@ import (
 
 	"lsnuma"
 	"lsnuma/internal/report"
+	"lsnuma/internal/workload"
 )
 
 func main() {
 	scaleName := flag.String("scale", "test", "problem size: test, small, paper")
 	flag.Parse()
 
-	var scale lsnuma.Scale
-	switch *scaleName {
-	case "test":
-		scale = lsnuma.ScaleTest
-	case "small":
-		scale = lsnuma.ScaleSmall
-	case "paper":
-		scale = lsnuma.ScalePaper
-	default:
-		log.Fatalf("unknown scale %q", *scaleName)
+	scale, err := workload.ParseScale(*scaleName)
+	if err != nil {
+		log.Fatal(err)
 	}
-
 	for _, w := range lsnuma.Workloads() {
-		cfg := lsnuma.DefaultConfig()
-		if w == "oltp" {
-			cfg = lsnuma.OLTPConfig()
-		}
-		results, err := lsnuma.Compare(cfg, w, scale)
+		results, err := lsnuma.Compare(lsnuma.WorkloadConfig(w), w, scale)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -11,7 +11,6 @@ package directory
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"lsnuma/internal/memory"
 )
@@ -312,31 +311,23 @@ type page struct {
 // indexed by block suffices — home-node attribution happens in the network
 // and timing model.
 //
-// The default storage is data-oriented: Entry values live in dense,
+// The storage is data-oriented: Entry values live in dense,
 // address-indexed pages sized off the layout (at least minEntriesPerPage
 // blocks per page), with presence tracked by a uint64 bitset per page.
 // The common-case lookup is two shifts and a bounds check — no hashing, no
-// per-entry allocation, no pointer chasing through map buckets. A legacy
-// map[uint64]*Entry backend (NewMap) is retained for differential testing;
-// both backends yield identical entries and iterate in the same order.
+// per-entry allocation, no pointer chasing through map buckets.
 type Directory struct {
 	layout     memory.Layout
 	init       func(*Entry) // protocol hook: default tag state for new blocks
 	blockShift uint         // log2(layout.BlockSize)
-
-	// Flat paged backend (used when entries == nil).
-	pages     []*page
-	pageShift uint   // log2(entries per page)
-	pageMask  uint64 // entries per page - 1
-	count     int
-
-	// Legacy map backend (used when entries != nil).
-	entries map[uint64]*Entry
+	pages      []*page
+	pageShift  uint   // log2(entries per page)
+	pageMask   uint64 // entries per page - 1
+	count      int
 }
 
-// New returns an empty directory with the flat paged storage. The init
-// hook, if non-nil, runs on each freshly created entry (used by the §5.5
-// default-tagging ablation).
+// New returns an empty directory. The init hook, if non-nil, runs on each
+// freshly created entry (used by the §5.5 default-tagging ablation).
 func New(layout memory.Layout, init func(*Entry)) *Directory {
 	per := layout.PageSize / layout.BlockSize
 	if per < minEntriesPerPage {
@@ -351,18 +342,6 @@ func New(layout memory.Layout, init func(*Entry)) *Directory {
 	}
 }
 
-// NewMap returns an empty directory backed by the original map storage.
-// It is retained only for differential testing against the flat layout
-// (engine Config.MapDirectory); simulation results are identical.
-func NewMap(layout memory.Layout, init func(*Entry)) *Directory {
-	return &Directory{
-		layout:     layout,
-		init:       init,
-		blockShift: uint(bits.TrailingZeros64(layout.BlockSize)),
-		entries:    make(map[uint64]*Entry),
-	}
-}
-
 // SetInit replaces the new-entry hook. Only meaningful on an empty (or
 // freshly Reset) directory; used when a pooled machine is retargeted at a
 // different protocol.
@@ -373,17 +352,6 @@ func (d *Directory) SetInit(init func(*Entry)) { d.init = init }
 // stays valid (and keeps aliasing the same block) until Reset.
 func (d *Directory) Entry(block memory.Addr) *Entry {
 	idx := uint64(block) >> d.blockShift
-	if d.entries != nil {
-		e, ok := d.entries[idx]
-		if !ok {
-			e = &Entry{Owner: memory.NoNode, LR: memory.NoNode, LastWriter: memory.NoNode}
-			if d.init != nil {
-				d.init(e)
-			}
-			d.entries[idx] = e
-		}
-		return e
-	}
 	pi := idx >> d.pageShift
 	if pi >= uint64(len(d.pages)) {
 		d.pages = append(d.pages, make([]*page, pi+1-uint64(len(d.pages)))...)
@@ -413,10 +381,6 @@ func (d *Directory) Entry(block memory.Addr) *Entry {
 // can probe the directory without perturbing it.
 func (d *Directory) Lookup(block memory.Addr) (*Entry, bool) {
 	idx := uint64(block) >> d.blockShift
-	if d.entries != nil {
-		e, ok := d.entries[idx]
-		return e, ok
-	}
 	pi := idx >> d.pageShift
 	if pi >= uint64(len(d.pages)) || d.pages[pi] == nil {
 		return nil, false
@@ -430,29 +394,12 @@ func (d *Directory) Lookup(block memory.Addr) (*Entry, bool) {
 }
 
 // Len returns the number of blocks with directory state.
-func (d *Directory) Len() int {
-	if d.entries != nil {
-		return len(d.entries)
-	}
-	return d.count
-}
+func (d *Directory) Len() int { return d.count }
 
 // ForEach visits every entry in ascending block order. The ordering is a
 // contract: repro-bundle snapshots, check reports and fault-target
-// selection iterate the directory and must be deterministic across runs
-// and storage backends.
+// selection iterate the directory and must be deterministic across runs.
 func (d *Directory) ForEach(fn func(blockIndex uint64, e *Entry)) {
-	if d.entries != nil {
-		idxs := make([]uint64, 0, len(d.entries))
-		for idx := range d.entries {
-			idxs = append(idxs, idx)
-		}
-		slices.Sort(idxs)
-		for _, idx := range idxs {
-			fn(idx, d.entries[idx])
-		}
-		return
-	}
 	for pi, pg := range d.pages {
 		if pg == nil {
 			continue
@@ -469,13 +416,9 @@ func (d *Directory) ForEach(fn func(blockIndex uint64, e *Entry)) {
 }
 
 // Reset returns the directory to its freshly constructed state while
-// keeping the allocated pages (or map) for reuse, so a pooled machine can
-// re-run a sweep point without reallocating directory storage.
+// keeping the allocated pages for reuse, so a pooled machine can re-run a
+// sweep point without reallocating directory storage.
 func (d *Directory) Reset() {
-	if d.entries != nil {
-		clear(d.entries)
-		return
-	}
 	for _, pg := range d.pages {
 		if pg == nil {
 			continue

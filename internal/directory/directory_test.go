@@ -1,6 +1,7 @@
 package directory
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -276,41 +277,61 @@ func TestForEach(t *testing.T) {
 	}
 }
 
-// constructors builds both directory backends, so every storage-contract
-// test runs against the flat paged layout and the legacy map.
-func constructors() map[string]func(memory.Layout, func(*Entry)) *Directory {
-	return map[string]func(memory.Layout, func(*Entry)) *Directory{
-		"flat": New,
-		"map":  NewMap,
-	}
-}
-
 // TestForEachAscendingOrder is the regression test for the ordering
-// contract: iteration must yield strictly ascending block indices on both
-// backends, no matter the insertion order. (The map backend used to
-// iterate in Go map order, making repro bundles and fault-target
-// selection nondeterministic.)
+// contract: iteration must yield strictly ascending block indices no
+// matter the insertion order. (A map-backed directory used to iterate in
+// Go map order, making repro bundles and fault-target selection
+// nondeterministic.)
 func TestForEachAscendingOrder(t *testing.T) {
 	// Insertion order deliberately scrambled, spanning several pages
 	// (4096/16 = 256 entries per page) and bitset words.
 	blocks := []memory.Addr{0x7f30, 0x10, 0x4000, 0x20f0, 0x00, 0x1010, 0x9ff0, 0x40, 0x8000}
-	for name, ctor := range constructors() {
-		t.Run(name, func(t *testing.T) {
-			d := ctor(layout(t), nil)
-			for _, b := range blocks {
-				d.Entry(b)
-			}
-			var got []uint64
-			d.ForEach(func(idx uint64, e *Entry) { got = append(got, idx) })
-			if len(got) != len(blocks) {
-				t.Fatalf("ForEach visited %d entries, want %d", len(got), len(blocks))
-			}
-			for i := 1; i < len(got); i++ {
-				if got[i] <= got[i-1] {
-					t.Fatalf("ForEach order not strictly ascending: %v", got)
-				}
-			}
-		})
+	d := New(layout(t), nil)
+	for _, b := range blocks {
+		d.Entry(b)
+	}
+	var got []uint64
+	d.ForEach(func(idx uint64, e *Entry) { got = append(got, idx) })
+	if len(got) != len(blocks) {
+		t.Fatalf("ForEach visited %d entries, want %d", len(got), len(blocks))
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i] <= got[i-1] {
+			t.Fatalf("ForEach order not strictly ascending: %v", got)
+		}
+	}
+}
+
+// mapDir is TestBackendEquivalence's reference model of the directory's
+// storage semantics, written the obvious way: one heap Entry per touched
+// block in a map, iterated in sorted block order.
+type mapDir struct {
+	init    func(*Entry)
+	shift   uint
+	entries map[uint64]*Entry
+}
+
+func (d *mapDir) Entry(block memory.Addr) *Entry {
+	idx := uint64(block) >> d.shift
+	e, ok := d.entries[idx]
+	if !ok {
+		e = &Entry{Owner: memory.NoNode, LR: memory.NoNode, LastWriter: memory.NoNode}
+		if d.init != nil {
+			d.init(e)
+		}
+		d.entries[idx] = e
+	}
+	return e
+}
+
+func (d *mapDir) ForEach(fn func(uint64, *Entry)) {
+	idxs := make([]uint64, 0, len(d.entries))
+	for idx := range d.entries {
+		idxs = append(idxs, idx)
+	}
+	slices.Sort(idxs)
+	for _, idx := range idxs {
+		fn(idx, d.entries[idx])
 	}
 }
 
@@ -324,15 +345,22 @@ func entryEqual(a, b *Entry) bool {
 		a.Ovf == b.Ovf
 }
 
-// TestBackendEquivalence drives both backends through an identical
-// mutation sequence and requires identical Len, Lookup and ForEach views.
+// TestBackendEquivalence drives the paged directory and the map model
+// through an identical mutation sequence, with a Reset halfway, and
+// requires identical Len, Lookup and ForEach views.
 func TestBackendEquivalence(t *testing.T) {
 	l := layout(t)
 	init := func(e *Entry) { e.LS = true }
-	flat, mp := New(l, init), NewMap(l, init)
+	flat := New(l, init)
+	const shift = 4 // log2 of layout(t)'s 16-byte blocks
+	mp := &mapDir{init: init, shift: shift, entries: map[uint64]*Entry{}}
 	// A deterministic pseudo-random walk of touches and mutations.
 	x := uint64(12345)
-	for i := 0; i < 2000; i++ {
+	for i := 0; i < 3000; i++ {
+		if i == 1000 {
+			flat.Reset()
+			clear(mp.entries)
+		}
 		x = x*6364136223846793005 + 1442695040888963407
 		block := memory.Addr((x>>16)%4096) * 16
 		ef, em := flat.Entry(block), mp.Entry(block)
@@ -351,8 +379,8 @@ func TestBackendEquivalence(t *testing.T) {
 			em.Sharers.Clear()
 		}
 	}
-	if flat.Len() != mp.Len() {
-		t.Fatalf("Len diverges: flat %d map %d", flat.Len(), mp.Len())
+	if flat.Len() != len(mp.entries) {
+		t.Fatalf("Len diverges: flat %d map %d", flat.Len(), len(mp.entries))
 	}
 	type view struct {
 		idx uint64
@@ -369,15 +397,16 @@ func TestBackendEquivalence(t *testing.T) {
 			t.Fatalf("ForEach diverges at %d: flat %+v map %+v", i, vf[i], vm[i])
 		}
 	}
-	// Lookup of an untouched block must not create on either backend.
-	probe := memory.Addr(4096 * 16 * 4)
-	if _, ok := flat.Lookup(probe); ok {
-		t.Error("flat Lookup invented an entry")
+	// Lookup finds exactly the touched blocks and never creates one.
+	for _, v := range vm {
+		if e, ok := flat.Lookup(memory.Addr(v.idx << shift)); !ok || !entryEqual(e, &v.e) {
+			t.Fatalf("Lookup(%#x) = %v, %v; want %+v", v.idx<<shift, e, ok, v.e)
+		}
 	}
-	if _, ok := mp.Lookup(probe); ok {
-		t.Error("map Lookup invented an entry")
+	if _, ok := flat.Lookup(memory.Addr(4096 * 16 * 4)); ok {
+		t.Error("Lookup invented an entry")
 	}
-	if flat.Len() != mp.Len() {
+	if flat.Len() != len(mp.entries) {
 		t.Error("Lookup changed Len")
 	}
 }
@@ -402,35 +431,33 @@ func TestEntryPointerStability(t *testing.T) {
 	}
 }
 
-// TestReset verifies Reset on both backends: the directory is empty,
-// re-created entries are fresh (init hook re-applied), and on the flat
-// backend storage is reused.
+// TestReset verifies Reset: the directory is empty and re-created
+// entries are fresh (init hook re-applied) while the pages are reused.
 func TestReset(t *testing.T) {
-	for name, ctor := range constructors() {
-		t.Run(name, func(t *testing.T) {
-			d := ctor(layout(t), func(e *Entry) { e.Migratory = true })
-			e := d.Entry(0x100)
-			e.State = Dirty
-			e.Owner = 1
-			e.Migratory = false
-			d.Entry(0x5000)
-			d.Reset()
-			if d.Len() != 0 {
-				t.Fatalf("Len after Reset = %d", d.Len())
-			}
-			if _, ok := d.Lookup(0x100); ok {
-				t.Fatal("entry survived Reset")
-			}
-			n := 0
-			d.ForEach(func(uint64, *Entry) { n++ })
-			if n != 0 {
-				t.Fatalf("ForEach visited %d entries after Reset", n)
-			}
-			e2 := d.Entry(0x100)
-			if e2.State != Uncached || e2.Owner != memory.NoNode || !e2.Migratory {
-				t.Fatalf("re-created entry not fresh: %+v", e2)
-			}
-		})
+	d := New(layout(t), func(e *Entry) { e.Migratory = true })
+	e := d.Entry(0x100)
+	e.State = Dirty
+	e.Owner = 1
+	e.Migratory = false
+	d.Entry(0x5000)
+	d.Reset()
+	if d.Len() != 0 {
+		t.Fatalf("Len after Reset = %d", d.Len())
+	}
+	if _, ok := d.Lookup(0x100); ok {
+		t.Fatal("entry survived Reset")
+	}
+	n := 0
+	d.ForEach(func(uint64, *Entry) { n++ })
+	if n != 0 {
+		t.Fatalf("ForEach visited %d entries after Reset", n)
+	}
+	e2 := d.Entry(0x100)
+	if e2.State != Uncached || e2.Owner != memory.NoNode || !e2.Migratory {
+		t.Fatalf("re-created entry not fresh: %+v", e2)
+	}
+	if e2 != e {
+		t.Fatal("Reset did not reuse the page")
 	}
 }
 

@@ -192,16 +192,10 @@ type Config struct {
 	// a non-nil return aborts the run with a *CancelledError wrapping it.
 	// Used for per-point wall-clock deadlines (context plumbing).
 	Cancel func() error
-	// MapDirectory selects the seed's map[uint64]*Entry directory storage
-	// instead of the default flat paged layout. The two are bit-identical
-	// in simulated behaviour; the map path is kept for differential
-	// testing, like SchedSerial for the scheduler.
-	MapDirectory bool
 	// Sched selects the scheduler: the default run-ahead scheduler, which
 	// leases processors the right to service local hits inline (see
 	// Machine.schedule), or the serial reference. Both produce
-	// byte-identical Results. An installed trace recorder forces
-	// SchedSerial regardless of this field.
+	// byte-identical Results and service operations in the same order.
 	Sched Sched
 	// DirFormat selects the directory's wire format: full presence map
 	// (the default and the differential oracle), limited-pointer Dir_i_B,

@@ -57,8 +57,8 @@ type Machine struct {
 	live int        // processors whose programs have not finished
 	done chan error // handoff scheduler's completion signal to Run
 
-	// serial selects the per-access handshake scheduler (SchedSerial or
-	// an installed recorder); set once before the goroutines start.
+	// serial selects the per-access handshake scheduler (SchedSerial);
+	// set once before the goroutines start.
 	serial bool
 
 	// aborted is set (once) by drain/abortConch after a scheduler error;
@@ -205,14 +205,10 @@ func NewMachine(cfg Config) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	dir := directory.New(layout, cfg.Protocol.InitEntry)
-	if cfg.MapDirectory {
-		dir = directory.NewMap(layout, cfg.Protocol.InitEntry)
-	}
 	m := &Machine{
 		cfg:    cfg,
 		layout: layout,
-		dir:    dir,
+		dir:    directory.New(layout, cfg.Protocol.InitEntry),
 		net:    nw,
 		st:     st,
 		alloc:  memory.NewAllocator(layout, 0),
@@ -255,16 +251,16 @@ func NewMachine(cfg Config) (*Machine, error) {
 // different) configuration, so sweep runners can re-run points against one
 // machine instead of reallocating caches, directory pages and scheduler
 // structures per point. The new configuration must match the machine's
-// structure — node count, cache geometry, page size and directory layout —
-// and must not install fault injectors (injector state is per-machine;
-// pooling faulted machines would break their determinism). A Reset machine
-// produces bit-identical Results to a freshly built one.
+// structure — node count, cache geometry and page size — and must not
+// install fault injectors (injector state is per-machine; pooling faulted
+// machines would break their determinism). A Reset machine produces
+// bit-identical Results to a freshly built one.
 func (m *Machine) Reset(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
 	if cfg.Nodes != m.cfg.Nodes || cfg.L1 != m.cfg.L1 || cfg.L2 != m.cfg.L2 ||
-		cfg.PageSize != m.cfg.PageSize || cfg.MapDirectory != m.cfg.MapDirectory {
+		cfg.PageSize != m.cfg.PageSize {
 		return fmt.Errorf("engine: Reset with structurally different config")
 	}
 	if cfg.FaultInjector != nil || cfg.MsgFaults != nil {
@@ -380,14 +376,15 @@ func (m *Machine) Directory() *directory.Directory { return m.dir }
 // Hierarchy exposes node n's cache hierarchy for tests.
 func (m *Machine) Hierarchy(n memory.NodeID) *cache.Hierarchy { return m.nodes[n].caches }
 
-// SetRecorder installs a hook invoked for every scheduled memory
-// operation (trace capture). Must be set before Run. A recorder implies
-// the serial scheduler: every operation must pass through the scheduler
-// for the hook to see it, so run-ahead is disabled for the run.
+// SetRecorder installs a hook invoked for every memory operation, in
+// service order, just before it is serviced (trace capture). Must be set
+// before Run. The hook sees the same sequence under either scheduler: it
+// runs on the scheduler path and on run-ahead's inline path alike. A
+// panic with a *CancelledError ends the run with that error.
 func (m *Machine) SetRecorder(fn func(OpRecord)) { m.recorder = fn }
 
 // RunAheadOps returns the number of operations serviced inline under a
-// run-ahead lease (zero under SchedSerial or a recorder).
+// run-ahead lease (zero under SchedSerial).
 func (m *Machine) RunAheadOps() uint64 { return m.runAheadOps }
 
 // LastOps returns the crash-diagnostics ring (Config.RecordOps) in
@@ -420,7 +417,7 @@ func (m *Machine) Run(programs []Program) error {
 	}
 	m.events = make(chan event)
 	m.done = make(chan error)
-	m.serial = m.recorder != nil || m.cfg.Sched == SchedSerial
+	m.serial = m.cfg.Sched == SchedSerial
 	for i, prog := range programs {
 		if prog == nil {
 			continue // nil program: the node stays idle
@@ -472,15 +469,7 @@ func (m *Machine) Run(programs []Program) error {
 func (m *Machine) service(next *op) {
 	m.servicing = next
 	if m.recorder != nil {
-		gap := uint32(0)
-		if next.at > next.proc.lastDone {
-			gap = uint32(next.at - next.proc.lastDone)
-		}
-		m.recorder(OpRecord{
-			CPU: next.proc.id, Addr: next.addr, Size: next.size,
-			Kind: next.kind, RMW: next.rmw, Source: next.proc.src,
-			Compute: gap,
-		})
+		m.record(next)
 	}
 	if m.checker != nil {
 		m.precheckOp(next)
@@ -491,6 +480,20 @@ func (m *Machine) service(next *op) {
 		m.afterOp(next)
 	}
 	m.servicing = nil
+}
+
+// record passes o to the recorder, with the busy cycles its processor
+// spent since its previous operation.
+func (m *Machine) record(o *op) {
+	gap := uint32(0)
+	if o.at > o.proc.lastDone {
+		gap = uint32(o.at - o.proc.lastDone)
+	}
+	m.recorder(OpRecord{
+		CPU: o.proc.id, Addr: o.addr, Size: o.size,
+		Kind: o.kind, RMW: o.rmw, Source: o.proc.src,
+		Compute: gap,
+	})
 }
 
 // precheckOp validates every block the operation is about to touch, so a
@@ -747,8 +750,7 @@ func (m *Machine) abortConch(self *Proc, err error) {
 // operation of every processor is submitted over the events channel and
 // serviced here, with the runnable set rescanned linearly. It is the
 // reference implementation the run-ahead scheduler must match bit for
-// bit, selected by SchedSerial for differential testing, and the path used
-// when a recorder is installed.
+// bit, selected by SchedSerial for differential testing and debugging.
 func (m *Machine) scheduleSerial() (err error) {
 	running := len(m.procs)
 	pending := make([]*op, m.cfg.Nodes) // indexed by CPU id

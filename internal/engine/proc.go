@@ -237,6 +237,9 @@ func (p *Proc) runInline(o *op) bool {
 	if m.nodes[p.id].caches.Classify(m.layout.Block(o.addr), o.kind) != cache.NoGlobal {
 		return false
 	}
+	if m.recorder != nil {
+		m.record(o)
+	}
 	if m.checker != nil {
 		// Same pre-transaction check as Machine.service (single block by
 		// the guard above). A violation panics out of the program function

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -165,6 +166,51 @@ func TestNoGoroutineLeakOnPanic(t *testing.T) {
 				waitForGoroutines(t, baseline)
 			})
 		}
+	}
+}
+
+// TestRecorderCancelNoGoroutineLeak: a recorder may end a run by
+// panicking with a *CancelledError, as a prefix capture does, and under
+// run-ahead it may do so from the inline path. Run must return that
+// error and every program goroutine must exit.
+func TestRecorderCancelNoGoroutineLeak(t *testing.T) {
+	errPrefix := errors.New("prefix captured")
+	for _, serial := range []bool{false, true} {
+		t.Run(fmt.Sprintf("serial=%v", serial), func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			cfg := testConfig(protocol.LS, protocol.Variant{})
+			cfg.Sched = schedOf(serial)
+			m, err := NewMachine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// CPU 0's repeated hits run ahead of the other CPUs, whose
+			// first operations come a million cycles later.
+			hits := func(p *Proc) {
+				for i := 0; i < 100; i++ {
+					p.Read(0)
+				}
+			}
+			late := func(p *Proc) {
+				p.Compute(1_000_000)
+				p.Read(memory.Addr(64 * int(p.ID())))
+			}
+			n, inline := 0, uint64(0)
+			m.SetRecorder(func(OpRecord) {
+				if n++; n == 10 {
+					inline = m.RunAheadOps()
+					panic(&CancelledError{Err: errPrefix})
+				}
+			})
+			err = m.Run([]Program{hits, late, late, late})
+			if !errors.Is(err, errPrefix) {
+				t.Fatalf("Run = %v, want the recorder's cancellation", err)
+			}
+			if !serial && inline == 0 {
+				t.Error("the recorder never ran on the inline path")
+			}
+			waitForGoroutines(t, baseline)
+		})
 	}
 }
 

@@ -7,6 +7,7 @@
 package prof
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"runtime"
@@ -19,6 +20,17 @@ type Options struct {
 	Mem   string // heap profile file, written on stop
 	Mutex string // mutex-contention profile file, written on stop
 	Block string // blocking (channel/select/lock wait) profile file, written on stop
+}
+
+// Flags registers -cpuprofile, -memprofile, -mutexprofile and
+// -blockprofile on fs and returns the Options they fill.
+func Flags(fs *flag.FlagSet) *Options {
+	o := &Options{}
+	fs.StringVar(&o.CPU, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&o.Mem, "memprofile", "", "write a heap profile to this file on exit")
+	fs.StringVar(&o.Mutex, "mutexprofile", "", "write a mutex-contention profile to this file on exit")
+	fs.StringVar(&o.Block, "blockprofile", "", "write a goroutine-blocking profile to this file on exit")
+	return o
 }
 
 // Start begins CPU profiling (when requested) and arms the mutex and

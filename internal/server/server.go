@@ -504,10 +504,7 @@ func parseJobReader(body io.Reader) (JobRequest, lsnuma.Config, lsnuma.Scale, er
 			return req, lsnuma.Config{}, 0, err
 		}
 	}
-	base := lsnuma.DefaultConfig()
-	if req.Workload == "oltp" {
-		base = lsnuma.OLTPConfig()
-	}
+	base := lsnuma.WorkloadConfig(req.Workload)
 	if len(req.Config) > 0 {
 		over := json.NewDecoder(bytes.NewReader(req.Config))
 		over.DisallowUnknownFields()

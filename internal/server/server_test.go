@@ -262,6 +262,8 @@ func TestBadRequests(t *testing.T) {
 		// once set it); naming it is now an unknown field, not a silently
 		// ignored one.
 		{"removed shard-count field", "/api/v1/point", `{"config":{"shards":2}}`},
+		// Likewise the map-backed directory, gone with its backend.
+		{"removed map-directory field", "/api/v1/point", `{"config":{"MapDirectory":true}}`},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))

@@ -3,7 +3,6 @@ package lsnuma
 import (
 	"context"
 	"fmt"
-	"os"
 	"sync"
 
 	"lsnuma/internal/engine"
@@ -54,16 +53,15 @@ func RunWorkload(cfg Config, w workload.Workload, scaleName string) (*Result, er
 }
 
 // machineClass is the structural part of a Config: two configs in the
-// same class build machines with identical node counts, cache geometry,
-// address-space layout and directory storage, so a machine built for one
-// can be Reset and reused for the other (protocol, timing, checking and
-// scheduler settings all travel with the per-run engine config).
+// same class build machines with identical node counts, cache geometry
+// and address-space layout, so a machine built for one can be Reset and
+// reused for the other (protocol, timing, checking and scheduler settings
+// all travel with the per-run engine config).
 type machineClass struct {
-	Nodes        int
-	L1, L2       CacheConfig
-	BlockSize    uint64
-	PageSize     uint64
-	MapDirectory bool
+	Nodes     int
+	L1, L2    CacheConfig
+	BlockSize uint64
+	PageSize  uint64
 }
 
 // machinePool holds idle machines for reuse across runs. Re-running a
@@ -82,21 +80,14 @@ var machinePool = struct {
 // machines finishing a run are simply dropped for the GC.
 const maxPooledMachines = 16
 
-// machineReuseDisabled turns the pool off (e.g. for memory profiling of
-// machine construction).
-var machineReuseDisabled = os.Getenv("LSNUMA_NO_REUSE") != ""
-
 func poolClass(c Config) machineClass {
 	return machineClass{
 		Nodes: c.Nodes, L1: c.L1, L2: c.L2,
 		BlockSize: c.BlockSize, PageSize: c.PageSize,
-		MapDirectory: c.MapDirectory,
 	}
 }
 
-func poolable(cfg Config) bool {
-	return !machineReuseDisabled && cfg.Faults == ""
-}
+func poolable(cfg Config) bool { return cfg.Faults == "" }
 
 // acquireMachine returns a pooled machine Reset for ec, or nil when none
 // is available (or reuse does not apply).

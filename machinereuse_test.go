@@ -1,90 +1,15 @@
 package lsnuma
 
-// Differential tests for the flat paged directory (PR 5): every
-// workload × protocol × scheduler combination must export byte-identical
-// Results under the dense array-backed directory and under the legacy
-// map-backed directory (Config.MapDirectory). The map backend is the
-// reference storage semantics; the flat backend claims identical protocol
-// behavior with none of the hashing, and these tests hold it to that.
-// Machine reuse (the run pool) is also pinned here: re-running a point on
-// a Reset machine must reproduce a fresh machine's Result byte for byte.
+// Machine reuse (the run pool): re-running a point on a Reset pooled
+// machine must reproduce a fresh machine's Result byte for byte, and an
+// idle pooled machine must not pin per-run state.
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	"lsnuma/internal/engine"
 )
-
-// runFlatMap runs the same point with the flat and the map directory
-// backends and fails unless the exported Results match byte for byte.
-func runFlatMap(t *testing.T, cfg Config, run func(Config) (*Result, error)) {
-	t.Helper()
-	cfg.MapDirectory = true
-	mp, err := run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.MapDirectory = false
-	flat, err := run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mj, fj := exportJSON(t, mp), exportJSON(t, flat)
-	if !bytes.Equal(mj, fj) {
-		t.Errorf("directory backends diverge:\nmap:  %s\nflat: %s", mj, fj)
-	}
-}
-
-// TestFlatVsMapMatrix covers the full workload × protocol × scheduler
-// matrix: the directory storage layout must be invisible in every Result.
-func TestFlatVsMapMatrix(t *testing.T) {
-	for _, w := range Workloads() {
-		for _, p := range Protocols() {
-			for _, serial := range []bool{false, true} {
-				w, p, serial := w, p, serial
-				sched := "ahead"
-				if serial {
-					sched = "serial"
-				}
-				t.Run(fmt.Sprintf("%s/%s/%s", w, p, sched), func(t *testing.T) {
-					t.Parallel()
-					cfg := DefaultConfig()
-					if w == "oltp" {
-						cfg = OLTPConfig()
-					}
-					cfg.Protocol = p
-					cfg.Scheduler = schedulerName(serial)
-					runFlatMap(t, cfg, func(c Config) (*Result, error) {
-						return Run(c, w, ScaleTest)
-					})
-				})
-			}
-		}
-	}
-}
-
-// TestFlatVsMapChecked re-runs the matrix's LS column with the online
-// invariant checker on: the checker iterates the directory, so it must
-// see identical state under both layouts.
-func TestFlatVsMapChecked(t *testing.T) {
-	for _, w := range Workloads() {
-		w := w
-		t.Run(w, func(t *testing.T) {
-			t.Parallel()
-			cfg := DefaultConfig()
-			if w == "oltp" {
-				cfg = OLTPConfig()
-			}
-			cfg.Protocol = LS
-			cfg.Check = CheckFull
-			runFlatMap(t, cfg, func(c Config) (*Result, error) {
-				return Run(c, w, ScaleTest)
-			})
-		})
-	}
-}
 
 // TestMachineReuseDeterminism pins the run pool's contract: the first Run
 // of a config uses a fresh machine, later Runs of structurally compatible
@@ -123,9 +48,6 @@ func TestMachineReuseDeterminism(t *testing.T) {
 // and the runs that reuse it — with the classifier on, or off in between —
 // export byte-identical Results.
 func TestMachineReuseTrim(t *testing.T) {
-	if machineReuseDisabled {
-		t.Skip("LSNUMA_NO_REUSE disables the run pool")
-	}
 	machinePool.Lock()
 	clear(machinePool.free)
 	machinePool.n = 0

@@ -11,9 +11,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"flag"
 	"fmt"
-	"os"
 	"strings"
 	"testing"
 	"time"
@@ -308,40 +306,6 @@ func TestStarvationRepro(t *testing.T) {
 	}
 	if b.Retry != "" {
 		t.Errorf("structured starvation was retried with checks on: %q", b.Retry)
-	}
-}
-
-var resTableFlag = flag.Bool("restable", false, "print the EXPERIMENTS.md retry-overhead table")
-
-// TestWriteResilienceTable regenerates the EXPERIMENTS.md retry-overhead
-// appendix: MP3D at test scale per protocol, 4 transaction buffers per
-// home, under message-loss rates {0, 1e-4, 1e-3}. Run with
-// `go test -run WriteResilienceTable -restable .`.
-func TestWriteResilienceTable(t *testing.T) {
-	if !*resTableFlag {
-		t.Skip("set -restable to print the retry-overhead table")
-	}
-	fmt.Fprintln(os.Stderr, "| Protocol | loss rate | NACKs | NACK rate | resends | mean retries | max | backoff cycles | max backoff | exec |")
-	fmt.Fprintln(os.Stderr, "|---|---|---|---|---|---|---|---|---|---|")
-	for _, p := range Protocols() {
-		for _, loss := range []float64{0, 1e-4, 1e-3} {
-			cfg := DefaultConfig()
-			cfg.Protocol = p
-			cfg.DirMSHRs = 4
-			cfg.Retry = "max:64,base:100,cap:4000,jitter:11"
-			if loss > 0 {
-				cfg.Faults = fmt.Sprintf("drop-msg@%g:3", loss)
-			}
-			res, err := Run(cfg, "mp3d", ScaleTest)
-			if err != nil {
-				t.Fatalf("%s loss=%g: %v", p, loss, err)
-			}
-			rs := &res.Resil
-			txns := res.GlobalReadMisses() + res.GlobalWrites()
-			fmt.Fprintf(os.Stderr, "| %s | %g | %d | %.4f | %d | %.4f | %d | %d | %d | %d |\n",
-				p, loss, rs.Nacks, float64(rs.Nacks)/float64(txns), rs.TimeoutResends,
-				rs.MeanRetries, rs.MaxRetries, rs.BackoffCycles, rs.MaxBackoff, res.ExecTime)
-		}
 	}
 }
 

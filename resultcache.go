@@ -5,7 +5,10 @@ import (
 	"strconv"
 	"sync/atomic"
 
+	"lsnuma/internal/check"
+	"lsnuma/internal/directory"
 	"lsnuma/internal/engine"
+	"lsnuma/internal/protocol"
 	"lsnuma/internal/resultcache"
 )
 
@@ -98,11 +101,12 @@ func (rc *ResultCache) Stats() CacheStats {
 }
 
 // PointKey returns the content-addressed cache key of a simulation point:
-// a canonical hash of the configuration (field-order independent), the
-// workload name, the scale, and the engine schema version. Two points
-// with equal keys produce byte-identical Results.
+// a canonical hash of the configuration (field-order independent, and
+// with the spec-string knobs spelled canonically, see canonicalSpecs),
+// the workload name, the scale, and the engine schema version. Two
+// points with equal keys produce byte-identical Results.
 func PointKey(cfg Config, workloadName string, scale Scale) (string, error) {
-	cj, err := resultcache.CanonicalJSON(cfg)
+	cj, err := resultcache.CanonicalJSON(canonicalSpecs(cfg))
 	if err != nil {
 		return "", err
 	}
@@ -113,6 +117,26 @@ func PointKey(cfg Config, workloadName string, scale Scale) (string, error) {
 		[]byte(scale.String()),
 		cj,
 	), nil
+}
+
+// canonicalSpecs returns cfg with Check, Scheduler, DirFormat and Retry
+// in the form their parsers print, so a configuration keys the same
+// however a knob is spelled: "" and "off", "max:16" and its expansion. A
+// spec that does not parse is left as spelled; running it fails.
+func canonicalSpecs(cfg Config) Config {
+	if l, err := check.ParseLevel(string(cfg.Check)); err == nil {
+		cfg.Check = CheckLevel(l.String())
+	}
+	if s, err := engine.ParseSched(cfg.Scheduler); err == nil {
+		cfg.Scheduler = s.String()
+	}
+	if f, err := directory.ParseFormat(cfg.DirFormat); err == nil {
+		cfg.DirFormat = f.String()
+	}
+	if r, err := protocol.ParseRetry(cfg.Retry); err == nil {
+		cfg.Retry = r.String()
+	}
+	return cfg
 }
 
 // cacheEnvelope is the stored form of one entry. Embedding the schema and

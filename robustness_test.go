@@ -82,23 +82,6 @@ func TestRetryEscalation(t *testing.T) {
 	}
 }
 
-// TestNoRetryOption: RunOptions.NoRetry suppresses the escalation — the
-// bundle still has the config and stack, but no retry diagnosis.
-func TestNoRetryOption(t *testing.T) {
-	results, err := RunAll(context.Background(),
-		[]Point{faultPoint("bad")}, RunOptions{NoRetry: true})
-	if err == nil {
-		t.Fatal("want error")
-	}
-	b := results[0].Repro
-	if b == nil {
-		t.Fatal("no repro bundle")
-	}
-	if b.Retry != "" || len(b.LastOps) != 0 {
-		t.Errorf("NoRetry still ran the escalation: Retry=%q LastOps=%d", b.Retry, len(b.LastOps))
-	}
-}
-
 // TestNoDoubleRetry: a point that already ran with checking on is not
 // retried (the failure is already structured).
 func TestNoDoubleRetry(t *testing.T) {
@@ -117,12 +100,14 @@ func TestNoDoubleRetry(t *testing.T) {
 }
 
 // TestSweepPartialResults: a sweep whose cells fail still returns every
-// grid point, with nil holes annotated by their error and bundle.
+// grid point, with nil holes annotated by their error and bundle. The
+// cells run checked, so their failures are already structured and skip
+// the checks-on retry.
 func TestSweepPartialResults(t *testing.T) {
 	base := DefaultConfig()
 	base.Faults = "drop-inval@200"
-	results, runErr := Sweep(context.Background(), base, SweepBlock, "mp3d", ScaleTest,
-		RunOptions{NoRetry: true})
+	base.Check = CheckTouched
+	results, runErr := Sweep(context.Background(), base, SweepBlock, "mp3d", ScaleTest, RunOptions{})
 	if len(results) == 0 {
 		t.Fatal("sweep returned no grid points")
 	}
@@ -165,18 +150,5 @@ func TestBadFaultSpec(t *testing.T) {
 	if _, err := Run(cfg, "mp3d", ScaleTest); err == nil ||
 		!strings.Contains(err.Error(), "fault:") {
 		t.Errorf("bad fault spec not rejected: %v", err)
-	}
-}
-
-// TestParseCheckLevelPublic covers the public level parser used by the
-// CLI flags.
-func TestParseCheckLevelPublic(t *testing.T) {
-	for _, s := range []string{"off", "touched", "full", ""} {
-		if _, err := ParseCheckLevel(s); err != nil {
-			t.Errorf("ParseCheckLevel(%q): %v", s, err)
-		}
-	}
-	if _, err := ParseCheckLevel("extreme"); err == nil {
-		t.Error("ParseCheckLevel accepted an unknown level")
 	}
 }

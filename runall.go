@@ -81,9 +81,9 @@ type ReproBundle struct {
 	// its requester set and the retry histogram. Empty otherwise.
 	Diagnosis string
 	// Retry records the outcome of the automatic retry with the online
-	// invariant checker enabled (empty when no retry ran — e.g. the
-	// original run already had checking on, the failure was already
-	// structured, or RunOptions.NoRetry).
+	// invariant checker enabled (empty when no retry ran — the original
+	// run already had checking on, or the failure was already
+	// structured).
 	Retry string
 	// LastOps is the tail of the retry run's operation ring: the memory
 	// operations serviced just before the failure (empty when the retry
@@ -96,10 +96,6 @@ type RunOptions struct {
 	// Parallelism bounds the number of simulations running at once;
 	// <= 0 selects runtime.GOMAXPROCS(0) (all cores).
 	Parallelism int
-	// NoRetry disables the retry-once-with-checks-on escalation for
-	// failed points (the retry doubles the cost of a failing cell; bench
-	// harnesses and differential tests want the raw failure).
-	NoRetry bool
 	// PointTimeout bounds each point's wall-clock runtime. An expired
 	// point aborts between operations with an engine.CancelledError
 	// wrapping context.DeadlineExceeded and is reported as an annotated
@@ -132,10 +128,11 @@ type RunOptions struct {
 const reproRingSize = 32
 
 // runPointDiag runs one point; on failure it builds the repro bundle and
-// — unless disabled — retries once with the online invariant checker
-// enabled, so a cryptic panic gets a second chance to be localized as a
-// structured coherence violation with an operation trail.
-func runPointDiag(ctx context.Context, pt Point, noRetry bool) (*Result, *ReproBundle, error) {
+// — unless the failure is already structured or was checked — retries
+// once with the online invariant checker enabled, so a cryptic panic gets
+// a second chance to be localized as a structured coherence violation
+// with an operation trail.
+func runPointDiag(ctx context.Context, pt Point) (*Result, *ReproBundle, error) {
 	res, _, err := runNamed(ctx, pt.Config, pt.Workload, pt.Scale)
 	if err == nil {
 		return res, nil, nil
@@ -154,7 +151,7 @@ func runPointDiag(ctx context.Context, pt Point, noRetry bool) (*Result, *ReproB
 	// second timeout (or re-derive what the watchdog said), so skip it.
 	structured := bundle.Diagnosis != "" ||
 		errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
-	if noRetry || structured || (pt.Config.Check != "" && pt.Config.Check != CheckOff) {
+	if structured || (pt.Config.Check != "" && pt.Config.Check != CheckOff) {
 		return nil, bundle, err
 	}
 	rcfg := pt.Config
@@ -188,8 +185,8 @@ func runPointDiag(ctx context.Context, pt Point, noRetry bool) (*Result, *ReproB
 // are recorded per point, and the returned error aggregates them
 // (errors.Join of *runner.JobError; nil when everything succeeded).
 // A failed point also carries a ReproBundle — config, panic stack, and
-// (after the automatic retry-once-with-checks-on escalation, see
-// RunOptions.NoRetry) the checker's diagnosis plus the last operations
+// (after the automatic retry-once-with-checks-on escalation of an
+// unchecked run) the checker's diagnosis plus the last operations
 // serviced before the failure. Cancelling ctx skips points that have not
 // started and records ctx's error for them; points already running
 // complete normally.
@@ -200,7 +197,7 @@ func RunAll(ctx context.Context, points []Point, opt RunOptions) ([]PointResult,
 	}
 	errs, err := runner.RunEach(ctx, len(points), opt.Parallelism, opt.PointTimeout, func(ctx context.Context, i int) error {
 		res, bundle, cached, deduped, err := opt.Cache.do(points[i], func() (*Result, *ReproBundle, error) {
-			return runPointDiag(ctx, points[i], opt.NoRetry)
+			return runPointDiag(ctx, points[i])
 		})
 		out[i].Result = res
 		out[i].Repro = bundle
