@@ -37,11 +37,11 @@ func main() {
 	)
 	flags.Parse(os.Args[1:])
 
-	// machine returns the validated capture or replay configuration: the
-	// workload's, with the protocol and machine flags applied. Capture and
-	// replay both honour -scheduler; the captured trace is the same under
-	// either.
-	machine := func(workloadName string) lsnuma.Config {
+	// config returns the validated machine configuration: the named
+	// workload's (replay uses the default one) with the protocol and the
+	// machine flags applied. The captured trace is the same under either
+	// -scheduler.
+	config := func(workloadName string) lsnuma.Config {
 		cfg := flags.Apply(lsnuma.WorkloadConfig(workloadName))
 		cfg.Protocol = lsnuma.Protocol(*protoName)
 		if err := cfg.Validate(); err != nil {
@@ -51,9 +51,9 @@ func main() {
 	}
 	switch {
 	case *capture:
-		doCapture(machine(*workloadName), *workloadName, *protoName, *scaleName, *out)
+		doCapture(config(*workloadName), *workloadName, *protoName, *scaleName, *out)
 	case *replay != "":
-		doReplay(machine(""), *replay, *protoName)
+		doReplay(config(""), *replay, *protoName)
 	case *info != "":
 		doInfo(*info)
 	default:

@@ -411,9 +411,9 @@ func TestBackendEquivalence(t *testing.T) {
 	}
 }
 
-// TestEntryPointerStability verifies the flat backend's aliasing
-// contract: pointers returned by Entry stay valid and keep aliasing the
-// same block while later touches allocate new pages and grow the spine.
+// TestEntryPointerStability verifies the directory's aliasing contract:
+// pointers returned by Entry stay valid and keep aliasing the same block
+// while later touches allocate new pages and grow the spine.
 func TestEntryPointerStability(t *testing.T) {
 	d := New(layout(t), nil)
 	e := d.Entry(0x40)

@@ -72,7 +72,7 @@ func blockAllocs(t *testing.T, cfg Config, blocks int) float64 {
 // TestDirectoryAllocs guards the flat paged directory against per-block
 // allocation: touching N distinct blocks must allocate pages (one per
 // ~256 blocks), not entries — the marginal allocation cost per block is a
-// small fraction, where the map backend paid one *Entry plus map growth
+// small fraction, where a map of *Entry pays one *Entry plus map growth
 // per block.
 func TestDirectoryAllocs(t *testing.T) {
 	cfg := testConfig(protocol.LS, protocol.Variant{})
@@ -81,7 +81,7 @@ func TestDirectoryAllocs(t *testing.T) {
 	perBlock := (big - small) / float64(8192-512)
 	t.Logf("directory marginal allocs/block=%.4f", perBlock)
 	// One page struct + two slices per 256 blocks plus cache-fill noise:
-	// well under 0.1; the map backend sat near 1.2.
+	// well under 0.1; a map of *Entry sat near 1.2.
 	if perBlock > 0.1 {
 		t.Errorf("directory allocates %.4f allocations per touched block, want paged (<= 0.1)", perBlock)
 	}
