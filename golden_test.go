@@ -37,15 +37,9 @@ func goldenPoints() []goldenPoint {
 	named := func(name string, cfg Config, w string) {
 		pts = append(pts, goldenPoint{name, func() (*Result, error) { return Run(cfg, w, ScaleTest) }})
 	}
-	base := func(w string) Config {
-		if w == "oltp" {
-			return OLTPConfig()
-		}
-		return DefaultConfig()
-	}
 	for _, w := range Workloads() {
 		for _, p := range Protocols() {
-			cfg := base(w)
+			cfg := WorkloadConfig(w)
 			cfg.Protocol = p
 			named(fmt.Sprintf("workload/%s/%s", w, p), cfg, w)
 		}
@@ -102,15 +96,14 @@ func goldenPoints() []goldenPoint {
 	return pts
 }
 
-// readGolden parses the digest file into name → digest, keeping the
-// file's order in names.
-func readGolden(t *testing.T) (digests map[string]string, names []string) {
+// readGolden parses the digest file into name → digest.
+func readGolden(t *testing.T) map[string]string {
 	t.Helper()
 	data, err := os.ReadFile(goldenFile)
 	if err != nil {
 		t.Fatalf("%v (generate it with: go test -run TestGoldenDigests -update .)", err)
 	}
-	digests = map[string]string{}
+	digests := map[string]string{}
 	sc := bufio.NewScanner(bytes.NewReader(data))
 	for sc.Scan() {
 		line := sc.Text()
@@ -122,9 +115,8 @@ func readGolden(t *testing.T) (digests map[string]string, names []string) {
 			t.Fatalf("%s: malformed line %q", goldenFile, line)
 		}
 		digests[name] = sum
-		names = append(names, name)
 	}
-	return digests, names
+	return digests
 }
 
 // TestGoldenDigests pins every point's exported Result to its committed
@@ -135,11 +127,10 @@ func TestGoldenDigests(t *testing.T) {
 	pts := goldenPoints()
 	var want map[string]string
 	if !*updateGolden {
-		var names []string
-		want, names = readGolden(t)
-		if len(names) != len(pts) {
+		want = readGolden(t)
+		if len(want) != len(pts) {
 			t.Errorf("%s has %d points, the matrix %d; rerun with -update if the matrix changed on purpose",
-				goldenFile, len(names), len(pts))
+				goldenFile, len(want), len(pts))
 		}
 	}
 	got := make([]string, len(pts))

@@ -29,11 +29,11 @@ var (
 
 // Flags holds the values of one tool's rows.
 type Flags struct {
-	fs      *flag.FlagSet
-	tool    string
-	machine lsnuma.Config // the machine rows' values
-	bound   []row         // the machine rows bound
-	version bool
+	fs          *flag.FlagSet
+	tool        string
+	machine     lsnuma.Config // the machine rows' values
+	machineRows []row         // the bound machine rows, which Apply copies
+	version     bool
 
 	Parallelism  int
 	Timeout      time.Duration
@@ -95,7 +95,7 @@ func New(fs *flag.FlagSet, tool string, groups ...[]string) *Flags {
 		var p any
 		if r.field != nil {
 			p = r.field(&f.machine)
-			f.bound = append(f.bound, r)
+			f.machineRows = append(f.machineRows, r)
 		} else {
 			p = r.value(f)
 		}
@@ -137,7 +137,7 @@ func (f *Flags) Parse(args []string) {
 
 // Apply returns c with the bound machine rows' values set.
 func (f *Flags) Apply(c lsnuma.Config) lsnuma.Config {
-	for _, r := range f.bound {
+	for _, r := range f.machineRows {
 		switch p := r.field(&c).(type) {
 		case *string:
 			*p = *r.field(&f.machine).(*string)
