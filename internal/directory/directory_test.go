@@ -282,24 +282,28 @@ func TestForEach(t *testing.T) {
 // matter the insertion order. (A map-backed directory used to iterate in
 // Go map order, making repro bundles and fault-target selection
 // nondeterministic.)
+//
+// Its subtest, like TestReset's, is named after the flat paged layout.
 func TestForEachAscendingOrder(t *testing.T) {
 	// Insertion order deliberately scrambled, spanning several pages
 	// (4096/16 = 256 entries per page) and bitset words.
 	blocks := []memory.Addr{0x7f30, 0x10, 0x4000, 0x20f0, 0x00, 0x1010, 0x9ff0, 0x40, 0x8000}
-	d := New(layout(t), nil)
-	for _, b := range blocks {
-		d.Entry(b)
-	}
-	var got []uint64
-	d.ForEach(func(idx uint64, e *Entry) { got = append(got, idx) })
-	if len(got) != len(blocks) {
-		t.Fatalf("ForEach visited %d entries, want %d", len(got), len(blocks))
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i] <= got[i-1] {
-			t.Fatalf("ForEach order not strictly ascending: %v", got)
+	t.Run("flat", func(t *testing.T) {
+		d := New(layout(t), nil)
+		for _, b := range blocks {
+			d.Entry(b)
 		}
-	}
+		var got []uint64
+		d.ForEach(func(idx uint64, e *Entry) { got = append(got, idx) })
+		if len(got) != len(blocks) {
+			t.Fatalf("ForEach visited %d entries, want %d", len(got), len(blocks))
+		}
+		for i := 1; i < len(got); i++ {
+			if got[i] <= got[i-1] {
+				t.Fatalf("ForEach order not strictly ascending: %v", got)
+			}
+		}
+	})
 }
 
 // mapDir is TestBackendEquivalence's reference model of the directory's
@@ -434,31 +438,33 @@ func TestEntryPointerStability(t *testing.T) {
 // TestReset verifies Reset: the directory is empty and re-created
 // entries are fresh (init hook re-applied) while the pages are reused.
 func TestReset(t *testing.T) {
-	d := New(layout(t), func(e *Entry) { e.Migratory = true })
-	e := d.Entry(0x100)
-	e.State = Dirty
-	e.Owner = 1
-	e.Migratory = false
-	d.Entry(0x5000)
-	d.Reset()
-	if d.Len() != 0 {
-		t.Fatalf("Len after Reset = %d", d.Len())
-	}
-	if _, ok := d.Lookup(0x100); ok {
-		t.Fatal("entry survived Reset")
-	}
-	n := 0
-	d.ForEach(func(uint64, *Entry) { n++ })
-	if n != 0 {
-		t.Fatalf("ForEach visited %d entries after Reset", n)
-	}
-	e2 := d.Entry(0x100)
-	if e2.State != Uncached || e2.Owner != memory.NoNode || !e2.Migratory {
-		t.Fatalf("re-created entry not fresh: %+v", e2)
-	}
-	if e2 != e {
-		t.Fatal("Reset did not reuse the page")
-	}
+	t.Run("flat", func(t *testing.T) {
+		d := New(layout(t), func(e *Entry) { e.Migratory = true })
+		e := d.Entry(0x100)
+		e.State = Dirty
+		e.Owner = 1
+		e.Migratory = false
+		d.Entry(0x5000)
+		d.Reset()
+		if d.Len() != 0 {
+			t.Fatalf("Len after Reset = %d", d.Len())
+		}
+		if _, ok := d.Lookup(0x100); ok {
+			t.Fatal("entry survived Reset")
+		}
+		n := 0
+		d.ForEach(func(uint64, *Entry) { n++ })
+		if n != 0 {
+			t.Fatalf("ForEach visited %d entries after Reset", n)
+		}
+		e2 := d.Entry(0x100)
+		if e2.State != Uncached || e2.Owner != memory.NoNode || !e2.Migratory {
+			t.Fatalf("re-created entry not fresh: %+v", e2)
+		}
+		if e2 != e {
+			t.Fatal("Reset did not reuse the page")
+		}
+	})
 }
 
 // TestSetInit verifies the protocol-hook swap used when a pooled machine
