@@ -74,4 +74,27 @@ func TestCLISurface(t *testing.T) {
 			t.Errorf("%v: want empty stdout and one stderr line, got stdout %q, stderr %q", b, stdout.String(), stderr.String())
 		}
 	}
+
+	// Text output is deterministic: run twice, each command prints the
+	// same bytes. Under LS, oltp has regions tied on load-store writes,
+	// so the first command also pins the order of tied rows.
+	repeat := [][]string{
+		{"lssim", "-protocol", "LS", "-regions", "-workload", "oltp"},
+		{"lssim", "-figure"},
+		{"lsreport", "-fig", "3"},
+		{"lssweep", "-workload", "mp3d", "-sweep", "block"},
+	}
+	for _, r := range repeat {
+		var outs [2][]byte
+		for i := range outs {
+			out, err := exec.Command(filepath.Join(dir, r[0]), r[1:]...).Output()
+			if err != nil {
+				t.Fatalf("%v: %v", r, err)
+			}
+			outs[i] = out
+		}
+		if !bytes.Equal(outs[0], outs[1]) {
+			t.Errorf("%v: two runs printed different output:\n%s\n---\n%s", r, outs[0], outs[1])
+		}
+	}
 }

@@ -125,8 +125,14 @@ func printRegions(r *lsnuma.Result) {
 	for n := range r.RegionCoverage {
 		names = append(names, n)
 	}
+	// Most load-store writes first; ties by name, so the order does not
+	// depend on map iteration.
 	sort.Slice(names, func(i, j int) bool {
-		return r.RegionCoverage[names[i]].LoadStoreWrites > r.RegionCoverage[names[j]].LoadStoreWrites
+		wi, wj := r.RegionCoverage[names[i]].LoadStoreWrites, r.RegionCoverage[names[j]].LoadStoreWrites
+		if wi != wj {
+			return wi > wj
+		}
+		return names[i] < names[j]
 	})
 	fmt.Println("    region coverage (load-store writes / eliminated / migratory):")
 	for _, n := range names {

@@ -145,9 +145,11 @@ type Config struct {
 	// MaxCycles aborts runaway runs; zero applies a generous default.
 	MaxCycles uint64
 	// Scheduler selects the discrete-event scheduler: "runahead" (or
-	// empty, the default handoff scheduler) or "serial" (the per-access
-	// handshake reference scheduler, for differential testing and
-	// debugging). Both produce byte-identical Results.
+	// empty, the default, which services local hits inline under
+	// run-ahead leases) or "serial" (the reference: the same scheduling
+	// path without leases, so every operation takes a scheduler step; for
+	// differential testing and debugging). Both produce byte-identical
+	// Results.
 	Scheduler string
 	// Check runs the coherence invariant checker online ("" or CheckOff
 	// disables it). Checking is side-effect free: simulated Results are

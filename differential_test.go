@@ -1,13 +1,14 @@
 package lsnuma
 
-// Differential determinism tests for the run-ahead handoff scheduler:
-// every workload × protocol combination must export byte-identical
-// Results under Scheduler="serial" and under the default run-ahead
-// scheduler. The serial per-access handshake scheduler is the reference
-// semantics; run-ahead claims to service operations in exactly the same
-// order, and these tests hold it to that across the full workload
-// matrix, including the 16- and 32-processor Figure 5 configurations,
-// the micro kernels and online checking.
+// Differential determinism tests for the run-ahead scheduler: every
+// workload × protocol combination must export byte-identical Results
+// under Scheduler="serial" and under the default run-ahead scheduler.
+// Both run the engine's one scheduling path; serial, with no run-ahead
+// leases and plain spin loops, takes a scheduler step for every memory
+// operation and is the reference semantics. Run-ahead claims to service
+// operations in exactly the same order, and these tests hold it to that
+// across the full workload matrix, including the 16- and 32-processor
+// Figure 5 configurations, the micro kernels and online checking.
 
 import (
 	"bytes"

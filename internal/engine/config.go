@@ -70,18 +70,20 @@ func (t Timing) Validate() error {
 	return nil
 }
 
-// Sched selects which scheduler drives the simulation. Both produce
-// byte-identical Results; they differ only in host-side execution
-// strategy.
+// Sched selects how the engine's one scheduling path runs. Both settings
+// service operations in the same order and produce byte-identical
+// Results; they differ only in host-side execution strategy.
 type Sched uint8
 
 const (
-	// SchedRunAhead is the default conch-handoff scheduler with run-ahead
-	// leases (see Machine.schedule).
+	// SchedRunAhead is the default: each step grants the processor it
+	// resumes a run-ahead lease under which it services its local hits
+	// inline, and spin-waits are re-armed without waking the spinner
+	// (see Proc.runInline and Machine.popServe).
 	SchedRunAhead Sched = iota
-	// SchedSerial is the per-access handshake reference scheduler (see
-	// Machine.scheduleSerial): every memory operation round-trips through
-	// the central scheduler, as the engine originally worked.
+	// SchedSerial is the reference: the same path with no run-ahead
+	// leases, so every memory operation takes a scheduler step, and with
+	// Proc.SpinRead as the plain loop of reads.
 	SchedSerial
 )
 
@@ -194,7 +196,7 @@ type Config struct {
 	Cancel func() error
 	// Sched selects the scheduler: the default run-ahead scheduler, which
 	// leases processors the right to service local hits inline (see
-	// Machine.schedule), or the serial reference. Both produce
+	// Proc.runInline), or the serial reference. Both produce
 	// byte-identical Results and service operations in the same order.
 	Sched Sched
 	// DirFormat selects the directory's wire format: full presence map

@@ -15,11 +15,14 @@ import (
 )
 
 // Program is the code one simulated processor executes. It runs as an
-// ordinary Go function; every interaction with simulated memory goes
-// through the Proc handle. Programs of different processors never run
-// concurrently — the scheduler resumes exactly one at a time — so shared
-// Go-side workload state needs no synchronization beyond the simulated
-// locks.
+// ordinary Go function on its own goroutine; every interaction with
+// simulated memory goes through the Proc handle. Programs run one at a
+// time, prologues (the code before the first memory operation) included:
+// only the goroutine holding the right to run executes, so shared Go-side
+// workload state needs no synchronization beyond the simulated locks. For
+// the same reason programs must not wait on one another through Go
+// channels, mutexes or WaitGroups: the waiter would keep the right to run
+// and deadlock the run.
 type Program func(p *Proc)
 
 // node is the per-node hardware state.
@@ -40,35 +43,29 @@ type Machine struct {
 	fs     *classify.FalseSharing
 	alloc  *memory.Allocator
 
-	procs  []*Proc
-	events chan event
+	procs []*Proc
 
 	// split is the reusable scratch buffer for block-straddling accesses
 	// (see execute); only ever used between two scheduler steps.
 	split []memory.Access
 
-	// Scheduler state for the default handoff scheduler. Exactly one
-	// goroutine is active at a time (initially Run, then whichever
-	// processor goroutine last received a resume — it "holds the conch");
-	// only the active goroutine touches these fields, and every transfer
-	// of control happens through a channel operation, so the accesses are
-	// totally ordered without locks.
-	h    opHeap     // pending ops of every parked processor
-	live int        // processors whose programs have not finished
-	done chan error // handoff scheduler's completion signal to Run
+	// Scheduler state. Exactly one processor goroutine runs at a time: it
+	// "holds the conch" and passes it on with a channel operation (a
+	// resume, a go statement, or the outcome sent to Run on done), so only
+	// the holder touches these fields and every access is ordered without
+	// locks. programs holds Run's programs until the last processor has
+	// started; started counts the processors started so far, in CPU order.
+	h        opHeap // parked operations, one per processor still running
+	programs []Program
+	started  int
+	done     chan error
 
-	// serial selects the per-access handshake scheduler (SchedSerial);
-	// set once before the goroutines start.
-	serial bool
-
-	// aborted is set (once) by drain/abortConch after a scheduler error;
-	// program goroutines observe it after their next resume and
-	// terminate. All accesses are ordered by the resume/events channel
-	// operations.
+	// aborted is set once the run has failed: every processor woken from
+	// then on unwinds out of its program (Machine.abort).
 	aborted bool
 
 	// runAheadOps counts operations serviced inline under a run-ahead
-	// lease, bypassing the scheduler handshake (introspection/tests).
+	// lease, without a scheduler step (introspection/tests).
 	runAheadOps uint64
 
 	recorder func(OpRecord)
@@ -76,9 +73,8 @@ type Machine struct {
 	// Robustness state (Config.CheckLevel / FaultInjector / RecordOps).
 	// hooks gates the whole per-operation robustness path with a single
 	// comparison, so a machine with everything off pays nothing. servicing
-	// is the operation currently inside Machine.service: on an abort its
-	// processor is parked in submit without an entry in any pending list,
-	// so the abort paths must wake it explicitly.
+	// is the operation popServe is servicing: on an abort its processor is
+	// parked in submit without an entry in the heap, so abort puts it back.
 	hooks      bool
 	checker    *check.Checker
 	checkEvery uint64
@@ -141,12 +137,22 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("engine: panicked: %v", e.Value)
 }
 
+// livelockError is the failure of the MaxCycles livelock guard.
+type livelockError struct {
+	cpu memory.NodeID
+	max uint64
+}
+
+func (e *livelockError) Error() string {
+	return fmt.Sprintf("engine: CPU %d exceeded MaxCycles=%d (livelock guard)", e.cpu, e.max)
+}
+
 // recoveredError converts a recovered panic into the run's error. The
 // structured failures — a CoherenceViolation from the online checker, a
 // StarvationError from the forward-progress watchdog, a CancelledError
-// from the Cancel hook — pass through unchanged; anything else becomes a
-// PanicError with the stack captured here, on the goroutine that
-// panicked.
+// from the Cancel hook, the livelock guard's error — pass through
+// unchanged; anything else becomes a PanicError with the stack captured
+// here, on the goroutine that panicked.
 func recoveredError(cpu memory.NodeID, r any) error {
 	switch v := r.(type) {
 	case *check.CoherenceViolation:
@@ -155,17 +161,10 @@ func recoveredError(cpu memory.NodeID, r any) error {
 		return v
 	case *CancelledError:
 		return v
+	case *livelockError:
+		return v
 	}
 	return &PanicError{CPU: cpu, Value: r, Stack: debug.Stack()}
-}
-
-// eventError extracts the run error from a program goroutine's failure
-// event (the goroutine's recover already converted the panic).
-func eventError(ev event) error {
-	if err, ok := ev.err.(error); ok {
-		return err
-	}
-	return fmt.Errorf("engine: program on CPU %d panicked: %v", ev.proc.id, ev.err)
 }
 
 // OpRecord describes one scheduled memory operation, for trace capture.
@@ -177,12 +176,6 @@ type OpRecord struct {
 	RMW     bool
 	Source  memory.Source
 	Compute uint32 // busy cycles since the CPU's previous operation
-}
-
-type event struct {
-	proc *Proc
-	op   *op // nil means the program finished
-	err  any // non-nil if the program panicked
 }
 
 // NewMachine builds a machine from cfg.
@@ -317,11 +310,8 @@ func (m *Machine) Reset(cfg Config) error {
 	m.hooks = m.checker != nil || m.ring != nil || m.cancel != nil
 
 	m.procs = nil
-	m.events = nil
-	m.done = nil
+	m.programs, m.started, m.done = nil, 0, nil
 	m.h.a = m.h.a[:0]
-	m.live = 0
-	m.serial = false
 	m.aborted = false
 	m.runAheadOps = 0
 	m.recorder = nil
@@ -408,6 +398,14 @@ func (m *Machine) LastOps() []OpTrace {
 // statistics. The i-th program runs on node i; if fewer programs than
 // nodes are supplied the remaining processors stay idle. Run may be called
 // only once per Machine.
+//
+// Each program runs on its own goroutine, and the goroutine holding the
+// conch is the only one running. Processors start one at a time, in CPU
+// order: each runs its prologue, parks its first operation in the heap
+// and starts the next (startNext), and the last to start takes the first
+// scheduler step. From then on every yield — a submit that cannot run
+// ahead, or a program's return — takes a step, and Run only waits for the
+// outcome on m.done.
 func (m *Machine) Run(programs []Program) error {
 	if m.procs != nil {
 		return fmt.Errorf("engine: Run called twice on the same machine")
@@ -415,59 +413,128 @@ func (m *Machine) Run(programs []Program) error {
 	if len(programs) > m.cfg.Nodes {
 		return fmt.Errorf("engine: %d programs for %d nodes", len(programs), m.cfg.Nodes)
 	}
-	m.events = make(chan event)
-	m.done = make(chan error)
-	m.serial = m.cfg.Sched == SchedSerial
 	for i, prog := range programs {
-		if prog == nil {
-			continue // nil program: the node stays idle
+		if prog != nil { // a nil program leaves its node idle
+			m.procs = append(m.procs, &Proc{m: m, id: memory.NodeID(i), resume: make(chan struct{})})
 		}
-		p := &Proc{
-			m:      m,
-			id:     memory.NodeID(i),
-			resume: make(chan struct{}),
+	}
+	if len(m.procs) == 0 {
+		return m.finalize()
+	}
+	m.h.a = make([]*op, 0, len(m.procs))
+	m.programs, m.started = programs, 0
+	m.done = make(chan error)
+	m.startNext()
+	return <-m.done
+}
+
+// startNext starts the next processor in CPU order, handing it the conch,
+// and reports whether one was left to start. The program goes to the
+// goroutine, not to a field: a pooled machine keeps its Procs, and must
+// not keep the workload's data alive with them.
+func (m *Machine) startNext() bool {
+	if m.started == len(m.procs) {
+		return false
+	}
+	p := m.procs[m.started]
+	prog := m.programs[p.id]
+	if m.started++; m.started == len(m.procs) {
+		m.programs = nil
+	}
+	go p.run(prog)
+	return true
+}
+
+// step is one scheduler step, taken by the goroutine holding the conch on
+// behalf of self, whose own operation (if any) is already in the heap. It
+// services the earliest pending operation (popServe) and resumes that
+// operation's processor, unless it is self, and returns it. After
+// startup, a processor still running always has its operation in the
+// heap, so an empty heap means every program has returned and the run is
+// complete.
+func (m *Machine) step(self *Proc) *Proc {
+	if len(m.h.a) == 0 {
+		m.done <- m.finalize()
+		return nil
+	}
+	next := m.popServe().proc
+	if m.cfg.Sched != SchedSerial {
+		m.grantLease(next)
+	}
+	if next != self {
+		next.resume <- struct{}{}
+	}
+	return next
+}
+
+// popServe pops the globally earliest pending operation, guards and
+// services it — and, when it is a declarative spin-wait whose predicate
+// is still false, advances the spinner and re-arms the read without
+// waking its goroutine, then keeps going. It returns the first completed
+// operation; its processor is the one to resume. While an operation is
+// out of the heap it is m.servicing, so abort finds its processor.
+//
+// Iterating spins here is what makes contended barriers and locks cheap:
+// each spin read is still a heap-ordered, fully modeled operation —
+// byte-identical to the serial scheduler's plain loop — but a processor
+// that spins N times costs one goroutine handoff instead of N.
+func (m *Machine) popServe() *op {
+	for {
+		next := m.h.pop()
+		m.servicing = next
+		if m.cfg.MaxCycles > 0 && next.at > m.cfg.MaxCycles {
+			panic(&livelockError{cpu: next.proc.id, max: m.cfg.MaxCycles})
 		}
-		m.procs = append(m.procs, p)
-		go func(prog Program, p *Proc) {
-			defer func() {
-				r := recover()
-				switch {
-				case r == nil:
-					if p.active {
-						m.finish(p) // holds the conch: drive the next step
-						return
-					}
-					m.events <- event{proc: p}
-				case isAbort(r):
-					// Terminated by a drain; report back unless this
-					// goroutine initiated the abort itself (the drain
-					// then already ran and nobody is listening).
-					if r.(abortProgram).notify {
-						m.events <- event{proc: p, err: r}
-					}
-				case p.active:
-					m.abortConch(p, recoveredError(p.id, r))
-				default:
-					m.events <- event{proc: p, err: recoveredError(p.id, r)}
-				}
-			}()
-			prog(p)
-		}(prog, p)
+		m.service(next)
+		if s := next.spin; s != nil && !s.stop() {
+			next.proc.Compute(s.step())
+			next.at = next.proc.clock
+			m.h.push(next)
+			continue
+		}
+		m.servicing = nil
+		return next
 	}
-	if m.serial {
-		return m.scheduleSerial()
+}
+
+// grantLease grants p the run-ahead lease up to the best other pending
+// op. With no other pending op the lease is unbounded (the id bound is
+// above every real CPU id, so the tie case cannot reject).
+func (m *Machine) grantLease(p *Proc) {
+	if o := m.h.min(); o != nil {
+		p.leaseAt, p.leaseID = o.at, o.proc.id
+	} else {
+		p.leaseAt, p.leaseID = ^uint64(0), memory.NodeID(m.cfg.Nodes)
 	}
-	return m.schedule()
+}
+
+// abort ends a failed run from the goroutine holding the conch on behalf
+// of self. It wakes every other parked processor in turn; each panics out
+// of its program with abortProgram and acknowledges on its resume channel
+// before the next is woken, so the processors still unwind one at a time.
+// The operation being serviced when the failure hit is out of the heap
+// while its processor is still parked, so it goes back first. Processors
+// not yet started never start. Finally abort delivers err to Run.
+func (m *Machine) abort(self *Proc, err error) {
+	m.aborted = true
+	if o := m.servicing; o != nil {
+		m.servicing = nil
+		m.h.push(o)
+	}
+	for o := m.h.pop(); o != nil; o = m.h.pop() {
+		if o.proc != self {
+			o.proc.resume <- struct{}{}
+			<-o.proc.resume
+		}
+	}
+	m.done <- err
 }
 
 // service executes one scheduled operation: the recorder hook (if any),
 // the detailed memory-system model, and the issuing processor's
 // completion bookkeeping. Identical in effect to the inline run-ahead
-// path of Proc.runInline. The in-flight operation is registered in
-// m.servicing so the abort paths can wake its (parked, list-less)
-// processor if anything panics.
+// path of Proc.runInline.
 func (m *Machine) service(next *op) {
-	m.servicing = next
 	if m.recorder != nil {
 		m.record(next)
 	}
@@ -479,7 +546,6 @@ func (m *Machine) service(next *op) {
 	if m.hooks {
 		m.afterOp(next)
 	}
-	m.servicing = nil
 }
 
 // record passes o to the recorder, with the busy cycles its processor
@@ -563,8 +629,12 @@ func (m *Machine) afterOp(o *op) {
 	}
 }
 
-// finalCheck is the end-of-run whole-machine sweep under check.Full.
-func (m *Machine) finalCheck() error {
+// finalize completes the statistics of a run whose programs have all
+// returned, with the end-of-run whole-machine sweep under check.Full.
+func (m *Machine) finalize() error {
+	if m.fs != nil {
+		m.fs.Finalize()
+	}
 	if m.checker == nil || m.cfg.CheckLevel < check.Full {
 		return nil
 	}
@@ -575,271 +645,6 @@ func (m *Machine) finalCheck() error {
 		}
 	}
 	return m.checker.CheckAll(t)
-}
-
-// schedule is the default run-ahead handoff scheduler. Service order is
-// identical to the serial scheduler — always the pending operation with
-// the smallest (clock, CPU id), kept in a min-heap rather than rescanned
-// linearly — but the per-access handshake with a central goroutine is
-// gone. Run only collects every processor's first operation and services
-// the winner; from then on the active processor goroutine drives the
-// schedule itself (Proc.submitSlow, Machine.finish): it pushes its own
-// operation, pops the global minimum, services it, and either continues
-// (its own op won — zero context switches) or hands control directly to
-// the winning processor (one switch, versus two through a scheduler
-// goroutine). On top of that, every service grants the processor a
-// run-ahead lease — the (clock, id) horizon of the best other pending
-// operation — under which purely local hits are serviced inline with no
-// heap traffic at all (Proc.runInline). Every step services the same op
-// the serial scheduler would pick, so simulated cycle counts are
-// bit-identical. Run waits on m.done for completion or error.
-//
-// The first scheduler step below runs on this (the Run) goroutine, so a
-// panic while servicing it — a checker violation or an engine bug — is
-// recovered here: the in-flight operation is re-parked and every program
-// goroutine drained, keeping the error paths leak-free.
-func (m *Machine) schedule() (err error) {
-	running := len(m.procs)
-	m.live = len(m.procs)
-	m.h.a = make([]*op, 0, len(m.procs))
-	defer func() {
-		if r := recover(); r != nil {
-			cpu := memory.NoNode
-			if o := m.servicing; o != nil {
-				cpu = o.proc.id
-				m.servicing = nil
-				m.h.push(o)
-			}
-			m.drain(m.live, m.h.a)
-			err = recoveredError(cpu, r)
-		}
-	}()
-
-	// Collect every processor's first operation (programs run their
-	// prologues concurrently, exactly as under the serial scheduler).
-	for running > 0 {
-		ev := <-m.events
-		running--
-		if ev.err != nil {
-			m.drain(m.live-1, m.h.a)
-			return eventError(ev)
-		}
-		if ev.op == nil {
-			m.live--
-			continue
-		}
-		m.h.push(ev.op)
-	}
-	if m.live == 0 {
-		if m.fs != nil {
-			m.fs.Finalize()
-		}
-		return m.finalCheck()
-	}
-
-	// First step: service the winner and hand it the conch.
-	next, ok := m.popServe()
-	if !ok {
-		m.drain(m.live, m.h.a)
-		return fmt.Errorf("engine: CPU %d exceeded MaxCycles=%d (livelock guard)", next.proc.id, m.cfg.MaxCycles)
-	}
-	m.grantLease(next.proc)
-	next.proc.resume <- struct{}{}
-
-	return <-m.done
-}
-
-// popServe performs scheduler steps from the goroutine holding the
-// conch: pop the globally earliest pending operation, guard, service it
-// — and, when it is a declarative spin-wait whose predicate is still
-// false, advance the spinner and re-arm the read without waking its
-// goroutine, then keep going. It returns the first completed operation
-// (ok=true; its processor is the one to resume), or the operation that
-// tripped the MaxCycles livelock guard (ok=false; already re-parked in
-// the heap so the abort paths find its processor).
-//
-// Iterating spins here is what makes contended barriers and locks cheap:
-// each spin read is still a heap-ordered, fully modeled operation —
-// byte-identical to the serial scheduler's — but a processor that spins N
-// times costs one goroutine handoff instead of N.
-func (m *Machine) popServe() (next *op, ok bool) {
-	for {
-		next = m.h.pop()
-		if m.cfg.MaxCycles > 0 && next.at > m.cfg.MaxCycles {
-			m.h.push(next)
-			return next, false
-		}
-		m.service(next)
-		if s := next.spin; s != nil && !s.stop() {
-			next.proc.Compute(s.step())
-			next.at = next.proc.clock
-			m.h.push(next)
-			continue
-		}
-		return next, true
-	}
-}
-
-// grantLease grants p the run-ahead lease up to the best other pending
-// op. With no other pending op the lease is unbounded (the id bound is
-// above every real CPU id, so the tie case cannot reject).
-func (m *Machine) grantLease(p *Proc) {
-	if o := m.h.min(); o != nil {
-		p.leaseAt, p.leaseID = o.at, o.proc.id
-	} else {
-		p.leaseAt, p.leaseID = ^uint64(0), memory.NodeID(m.cfg.Nodes)
-	}
-}
-
-// finish retires a processor whose program returned while holding the
-// conch: it either completes the run or performs one scheduler step to
-// pass control on.
-func (m *Machine) finish(p *Proc) {
-	m.live--
-	if m.live == 0 {
-		if m.fs != nil {
-			m.fs.Finalize()
-		}
-		m.done <- m.finalCheck()
-		return
-	}
-	next, ok := m.popServe()
-	if !ok {
-		m.abortConch(p, fmt.Errorf("engine: CPU %d exceeded MaxCycles=%d (livelock guard)", next.proc.id, m.cfg.MaxCycles))
-		return
-	}
-	m.grantLease(next.proc)
-	next.proc.resume <- struct{}{}
-}
-
-// abortConch aborts the run from the goroutine holding the conch: every
-// parked processor is woken in turn and panics out through Proc.submit
-// (terminating spin loops), each reporting back before the next is woken
-// so the one-goroutine-at-a-time discipline holds throughout; then the
-// error is delivered to Run. Operations belonging to the caller itself
-// are skipped — the caller exits (or panics abortProgram{notify: false})
-// right after, without reporting. Run therefore leaks no goroutines on
-// the handoff scheduler's error paths.
-func (m *Machine) abortConch(self *Proc, err error) {
-	m.aborted = true
-	// An operation that was mid-service when the abort began has a parked
-	// processor with no entry in the heap (submit popped it); wake it
-	// first, unless it is the aborting goroutine's own operation.
-	if o := m.servicing; o != nil {
-		m.servicing = nil
-		if o.proc != self {
-			o.proc.resume <- struct{}{}
-			<-m.events
-		}
-	}
-	for {
-		o := m.h.pop()
-		if o == nil {
-			break
-		}
-		if o.proc == self {
-			continue
-		}
-		o.proc.resume <- struct{}{}
-		<-m.events // the woken processor's terminal event
-	}
-	m.done <- err
-}
-
-// scheduleSerial is the per-access handshake scheduler: every memory
-// operation of every processor is submitted over the events channel and
-// serviced here, with the runnable set rescanned linearly. It is the
-// reference implementation the run-ahead scheduler must match bit for
-// bit, selected by SchedSerial for differential testing and debugging.
-func (m *Machine) scheduleSerial() (err error) {
-	running := len(m.procs)
-	pending := make([]*op, m.cfg.Nodes) // indexed by CPU id
-	live := len(m.procs)
-	// Every service below runs on this (the Run) goroutine; recover
-	// panics — checker violations, engine bugs — by re-parking the
-	// in-flight operation and draining the program goroutines.
-	defer func() {
-		if r := recover(); r != nil {
-			cpu := memory.NoNode
-			if o := m.servicing; o != nil {
-				cpu = o.proc.id
-				m.servicing = nil
-				pending[o.proc.id] = o
-			}
-			m.drain(live, pending)
-			err = recoveredError(cpu, r)
-		}
-	}()
-
-	for {
-		for running > 0 {
-			ev := <-m.events
-			running--
-			if ev.err != nil {
-				m.drain(live-1, pending)
-				return eventError(ev)
-			}
-			if ev.op == nil {
-				live--
-				continue
-			}
-			pending[ev.proc.id] = ev.op
-		}
-		if live == 0 {
-			break
-		}
-		// Pick the pending op with the smallest clock.
-		var next *op
-		for _, o := range pending {
-			if o == nil {
-				continue
-			}
-			if next == nil || opBefore(o, next) {
-				next = o
-			}
-		}
-		if next == nil {
-			return fmt.Errorf("engine: deadlock — %d live processors but none runnable", live)
-		}
-		if m.cfg.MaxCycles > 0 && next.at > m.cfg.MaxCycles {
-			m.drain(live, pending)
-			return fmt.Errorf("engine: CPU %d exceeded MaxCycles=%d (livelock guard)", next.proc.id, m.cfg.MaxCycles)
-		}
-		pending[next.proc.id] = nil
-		m.service(next)
-		running = 1
-		next.proc.resume <- struct{}{}
-	}
-
-	if m.fs != nil {
-		m.fs.Finalize()
-	}
-	return m.finalCheck()
-}
-
-// drain terminates every remaining program goroutine after a scheduler
-// error, so Run's error paths leak nothing: parked processors (those with
-// a pending operation, passed in; nil entries are skipped) are resumed,
-// and every later submission is answered with an immediate resume.
-// Proc.submit observes m.aborted after each resume and panics with
-// abortProgram, which the program goroutine's recover converts into a
-// final event. alive is the number of processors that have not yet sent
-// their final event.
-func (m *Machine) drain(alive int, parked []*op) {
-	m.aborted = true
-	for _, o := range parked {
-		if o != nil {
-			o.proc.resume <- struct{}{}
-		}
-	}
-	for alive > 0 {
-		ev := <-m.events
-		if ev.op != nil {
-			ev.proc.resume <- struct{}{}
-			continue
-		}
-		alive--
-	}
 }
 
 // CheckCoherence validates the machine-wide coherence invariants — SWMR,

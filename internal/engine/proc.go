@@ -1,27 +1,17 @@
 package engine
 
 import (
-	"fmt"
 	"math/rand"
 
 	"lsnuma/internal/cache"
 	"lsnuma/internal/memory"
 )
 
-// abortProgram is the sentinel panic Proc.submit raises once the
-// scheduler has failed and is draining: it unwinds the program goroutine
-// (terminating spin loops that would otherwise never return), and the
-// goroutine's recover reports it back as the processor's final event —
-// unless notify is false, which marks the goroutine that initiated the
-// abort itself (its abortConch already delivered the error and nobody
-// is listening for a further event).
-type abortProgram struct{ notify bool }
-
-// isAbort reports whether a recovered panic value is the drain sentinel.
-func isAbort(r any) bool {
-	_, ok := r.(abortProgram)
-	return ok
-}
+// abortProgram is the panic a parked processor raises when it is woken
+// after the run has failed (Machine.abort): it unwinds the program,
+// ending spin loops that would otherwise never return, into the
+// goroutine's recover, which acknowledges the wake-up.
+type abortProgram struct{}
 
 // op is one memory operation submitted to the scheduler.
 type op struct {
@@ -75,19 +65,11 @@ type Proc struct {
 	// leaseAt/leaseID are the processor's run-ahead lease: the (clock, id)
 	// horizon of the best other pending operation, granted by the
 	// scheduler on resume. Operations ordering strictly before the
-	// horizon are serviced inline with no scheduler handshake (see
-	// runInline). Zero under the serial scheduler, which never grants
-	// leases, so the inline path is dead there (the zero lease rejects
-	// every operation, including during the concurrent startup phase).
+	// horizon are serviced inline with no scheduler step (see runInline).
+	// Zero under the serial scheduler, which never grants leases, and
+	// during startup: the zero lease rejects every operation.
 	leaseAt uint64
 	leaseID memory.NodeID
-
-	// active marks a processor that has completed its first handoff-
-	// scheduler submission: from then on, whenever its goroutine runs it
-	// holds the conch and drives scheduler steps itself (see submit).
-	// Always false under the serial scheduler. Written only by this
-	// processor's goroutine.
-	active bool
 }
 
 // ID returns the processor's node id.
@@ -127,16 +109,43 @@ func (p *Proc) Compute(n int) {
 	p.m.st.CPUs[p.id].Busy += uint64(n)
 }
 
+// run is processor p's goroutine. Its recover is the engine's only one:
+// every scheduler step runs on the goroutine holding the conch, inside a
+// submit or after a program returns here, so every failure — a program
+// panic, a checker violation, a cancellation, the livelock guard — lands
+// in it and aborts the run. A panic while servicing an operation is
+// attributed to that operation's CPU.
+func (p *Proc) run(prog Program) {
+	m := p.m
+	defer func() {
+		r := recover()
+		if r == nil {
+			return
+		}
+		if _, ok := r.(abortProgram); ok {
+			p.resume <- struct{}{} // acknowledge Machine.abort's wake-up
+			return
+		}
+		cpu := p.id
+		if o := m.servicing; o != nil {
+			cpu = o.proc.id
+		}
+		m.abort(p, recoveredError(cpu, r))
+	}()
+	prog(p)
+	if !m.startNext() {
+		m.step(p)
+	}
+}
+
 // submit services one memory operation. Fast path: inline in this
-// goroutine when the run-ahead lease permits (runInline). Otherwise,
-// under the handoff scheduler, this goroutine holds the conch and drives
-// one scheduler step itself: park the operation in the heap, pop the
-// global minimum, service it, and either continue (own op won — zero
-// context switches) or hand the conch to the winner and block until a
-// later step services our operation (one switch). The serial scheduler
-// and the processor's very first operation instead go through the events
-// channel to the goroutine running Machine.Run. On every return the
-// operation has been serviced and the clock advanced by the modeled
+// goroutine when the run-ahead lease permits (runInline). Otherwise it
+// parks the operation in the heap and passes the conch on: during
+// startup to the next processor, afterwards through a scheduler step,
+// which keeps the conch here when our own operation wins (zero context
+// switches) and otherwise hands it to the winner (one switch). Either way
+// it blocks until a later step services our operation. On every return
+// the operation has been serviced and the clock advanced by the modeled
 // latency.
 func (p *Proc) submit(o op) {
 	o.proc = p
@@ -146,51 +155,29 @@ func (p *Proc) submit(o op) {
 	}
 	p.pending = o
 	m := p.m
-	if m.serial || !p.active {
-		// Serial scheduler, or the first operation (collected centrally
-		// by Machine.schedule while the prologues run concurrently).
-		m.events <- event{proc: p, op: &p.pending}
+	m.h.push(&p.pending)
+	if m.startNext() || m.step(p) != p {
 		<-p.resume
 		if m.aborted {
-			panic(abortProgram{notify: true})
+			panic(abortProgram{})
 		}
-		p.active = !m.serial
-		return
-	}
-	m.h.push(&p.pending)
-	next, ok := m.popServe()
-	if !ok {
-		// next was re-parked by popServe; park ourselves with the rest.
-		m.abortConch(p, fmt.Errorf("engine: CPU %d exceeded MaxCycles=%d (livelock guard)", next.proc.id, m.cfg.MaxCycles))
-		panic(abortProgram{notify: false})
-	}
-	m.grantLease(next.proc)
-	if next.proc == p {
-		return // our own operation won: keep the conch
-	}
-	next.proc.resume <- struct{}{}
-	<-p.resume
-	if m.aborted {
-		panic(abortProgram{notify: true})
 	}
 }
 
 // SpinRead is the engine's spin-wait primitive: simulated word reads of
 // addr until stop() holds, separated by step() busy cycles — exactly the
 // load / test / backoff loop it replaces, with identical simulated timing
-// and service order. Under the handoff scheduler the iterations after the
-// first are serviced declaratively by whichever goroutine holds the conch
-// (Machine.popServe), so a spinning processor costs no goroutine handoffs
-// until its predicate flips; under the serial scheduler (and during the
-// concurrent startup phase) it degrades to the plain loop.
+// and service order. Under the run-ahead scheduler the iterations after
+// the first are serviced declaratively by whichever goroutine holds the
+// conch (Machine.popServe), so a spinning processor costs no goroutine
+// handoffs until its predicate flips; the serial scheduler runs the plain
+// loop.
 func (p *Proc) SpinRead(addr memory.Addr, stop func() bool, step func() int) {
 	p.Read(addr)
 	if stop() {
 		return
 	}
-	// p.active is guaranteed by the Read above except under the serial
-	// scheduler, which never activates processors.
-	if p.m.serial {
+	if p.m.cfg.Sched == SchedSerial {
 		for {
 			p.Compute(step())
 			p.Read(addr)
@@ -205,7 +192,7 @@ func (p *Proc) SpinRead(addr memory.Addr, stop func() bool, step func() int) {
 }
 
 // runInline services o in the processor's own goroutine under its
-// run-ahead lease, with no scheduler handshake, and reports whether it
+// run-ahead lease, with no scheduler step, and reports whether it
 // did. It may do so only when both hold:
 //
 //   - (o.at, p.id) orders strictly before the lease horizon — these are
@@ -216,10 +203,10 @@ func (p *Proc) SpinRead(addr memory.Addr, stop func() bool, step func() int) {
 //     effects — everything global (directory, network, invalidations,
 //     the livelock guard) stays on the scheduler path.
 //
-// While this processor runs ahead, the scheduler is blocked receiving and
-// every other processor is blocked on its resume channel, so the
-// one-goroutine-at-a-time discipline (and with it the race-freedom of the
-// shared simulator state) is unchanged.
+// This processor holds the conch while it runs ahead and every other
+// processor is parked on its resume channel, so the one-goroutine-at-a-
+// time discipline (and with it the race-freedom of the shared simulator
+// state) is unchanged.
 func (p *Proc) runInline(o *op) bool {
 	if o.at > p.leaseAt || (o.at == p.leaseAt && p.id >= p.leaseID) {
 		return false

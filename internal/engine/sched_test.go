@@ -1,10 +1,12 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -81,10 +83,9 @@ func TestRunAheadEngages(t *testing.T) {
 }
 
 // TestSchedulersBitIdentical compares every cycle- and traffic-level
-// statistic between the serial handshake scheduler and the run-ahead
-// handoff scheduler on the contended workload: the run-ahead path must
-// service operations in exactly the serial order, so all simulated
-// quantities must match bit for bit.
+// statistic between the serial and the run-ahead scheduler on the
+// contended workload: run-ahead must service operations in exactly the
+// serial order, so all simulated quantities must match bit for bit.
 func TestSchedulersBitIdentical(t *testing.T) {
 	serial := schedulerStats(t, true)
 	ahead := schedulerStats(t, false)
@@ -210,6 +211,85 @@ func TestRecorderCancelNoGoroutineLeak(t *testing.T) {
 				t.Error("the recorder never ran on the inline path")
 			}
 			waitForGoroutines(t, baseline)
+		})
+	}
+}
+
+// TestAbortAfterReturnNoGoroutineLeak: the scheduler step a processor
+// takes after its program returns runs under the same recover as every
+// other step, so a failure there ends the run with its error and no
+// goroutine left behind. CPU 0 returns first; the operation that fails
+// is CPU 1's only read, which CPU 0's goroutine services after its return.
+// The failure is a Cancel hook reporting a deadline (polled on the
+// 1024th operation) or a recorder cancelling on the second operation.
+func TestAbortAfterReturnNoGoroutineLeak(t *testing.T) {
+	for _, serial := range []bool{false, true} {
+		for _, trigger := range []string{"cancel", "recorder"} {
+			t.Run(fmt.Sprintf("serial=%v/%s", serial, trigger), func(t *testing.T) {
+				baseline := runtime.NumGoroutine()
+				cfg := testConfig(protocol.LS, protocol.Variant{})
+				cfg.Sched = schedOf(serial)
+				reads := 1
+				if trigger == "cancel" {
+					reads = 1023
+					cfg.Cancel = func() error { return context.DeadlineExceeded }
+				}
+				m, err := NewMachine(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ops := 0
+				if trigger == "recorder" {
+					m.SetRecorder(func(OpRecord) {
+						if ops++; ops == 2 {
+							panic(&CancelledError{Err: context.DeadlineExceeded})
+						}
+					})
+				}
+				first := func(p *Proc) {
+					for i := 0; i < reads; i++ {
+						p.Read(0)
+					}
+				}
+				late := func(p *Proc) {
+					p.Compute(1_000_000)
+					p.Read(64)
+				}
+				err = m.Run([]Program{first, late})
+				var cancelled *CancelledError
+				if !errors.As(err, &cancelled) || !errors.Is(err, context.DeadlineExceeded) {
+					t.Fatalf("Run = %v, want a CancelledError for the deadline", err)
+				}
+				waitForGoroutines(t, baseline)
+			})
+		}
+	}
+}
+
+// TestProloguesRunInCPUOrder: programs run one at a time, including the
+// prologues before their first memory operation, and processors start
+// in CPU order. Run under -race, an unsynchronized append from
+// concurrent prologues would also be reported as a data race.
+func TestProloguesRunInCPUOrder(t *testing.T) {
+	for _, serial := range []bool{false, true} {
+		t.Run(fmt.Sprintf("serial=%v", serial), func(t *testing.T) {
+			cfg := testConfig(protocol.Baseline, protocol.Variant{})
+			cfg.Sched = schedOf(serial)
+			m, err := NewMachine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var order []memory.NodeID
+			prog := func(p *Proc) {
+				order = append(order, p.ID())
+				p.Read(memory.Addr(16 * int(p.ID())))
+			}
+			if err := m.Run([]Program{prog, prog, prog, prog}); err != nil {
+				t.Fatal(err)
+			}
+			if want := []memory.NodeID{0, 1, 2, 3}; !slices.Equal(order, want) {
+				t.Errorf("prologues ran in order %v, want %v", order, want)
+			}
 		})
 	}
 }

@@ -187,7 +187,12 @@ type BuildPrograms func(m *engine.Machine) ([]engine.Program, error)
 
 // RunPrograms simulates a custom set of per-processor programs. It gives
 // library users the full program-driven API (engine.Proc, locks,
-// barriers) without registering a named workload.
+// barriers) without registering a named workload. The programs run one at
+// a time, the code before each one's first memory operation included, so
+// they may share Go data without locking. They must synchronize only
+// through simulated memory (engine locks, barriers, spin reads): a
+// program that waits on another through a Go channel, mutex or WaitGroup
+// deadlocks the run.
 func RunPrograms(cfg Config, name string, build BuildPrograms) (*Result, error) {
 	return RunWorkload(cfg, customWorkload{name: name, build: build}, "custom")
 }

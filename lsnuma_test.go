@@ -406,10 +406,10 @@ func TestRelaxedWritesShrinkLSGain(t *testing.T) {
 	}
 }
 
-// lockHandoffBuild is shared by BenchmarkLockHandoff and
-// TestLockHandoffProtocols: four processors take turns through a mostly
-// non-contended lock and update the protected counter — the spin-lock
-// case the paper's §5.4 credits with faster completion under AD and LS.
+// lockHandoffBuild is TestLockHandoffProtocols' workload: four
+// processors take turns through a mostly non-contended lock and update
+// the protected counter — the spin-lock case the paper's §5.4 credits
+// with faster completion under AD and LS.
 // (Under heavy contention exclusive-grant protocols suffer reader-steal
 // churn on the lock word instead; that regime is exercised separately by
 // the mutual-exclusion engine tests.)

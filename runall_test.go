@@ -3,6 +3,7 @@ package lsnuma
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -42,6 +43,30 @@ func TestCompareParallelDeterminism(t *testing.T) {
 			}
 		})
 	}
+}
+
+// sweepPoints builds the 12-point block-size x protocol matrix of mp3d
+// at test scale.
+func sweepPoints(tb testing.TB) []Point {
+	tb.Helper()
+	grid, err := SweepGrid(SweepBlock, DefaultConfig())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var points []Point
+	for _, g := range grid {
+		for _, p := range Protocols() {
+			cfg := g.Config
+			cfg.Protocol = p
+			points = append(points, Point{
+				Label:    fmt.Sprintf("%s/%s", g.Label, p),
+				Config:   cfg,
+				Workload: "mp3d",
+				Scale:    ScaleTest,
+			})
+		}
+	}
+	return points
 }
 
 // TestRunAllDeterminism runs the same point matrix serially and in
