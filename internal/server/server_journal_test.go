@@ -90,73 +90,92 @@ func TestJobsEndpoint(t *testing.T) {
 // regression: a job accepted-and-journaled but still waiting for a slot
 // when drain begins must be left queued (never running), so the next
 // startup replays it. The sibling of the inflight-before-recheck drain
-// test.
+// test. The queued job is each endpoint's request in turn, and its
+// replay must complete every point the original admission counted.
 func TestDrainLeavesJournaledJobQueued(t *testing.T) {
-	dir := t.TempDir()
-	srv := New(Config{MaxJobs: 1, QueueDepth: 2, Journal: openJournal(t, dir)})
-	started, release := fakeRun(srv)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	for _, tc := range []struct {
+		endpoint, body string
+		points         int
+	}{
+		{"point", `{}`, 1},
+		{"sweep", `{"sweep":"block"}`, 12},
+		{"compare", `{}`, 3},
+	} {
+		t.Run(tc.endpoint, func(t *testing.T) {
+			dir := t.TempDir()
+			srv := New(Config{MaxJobs: 1, QueueDepth: 2, Journal: openJournal(t, dir)})
+			started, release := fakeRun(srv)
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
 
-	codes := make(chan int, 2)
-	post := func() {
-		resp, err := http.Post(ts.URL+"/api/v1/point", "application/json", strings.NewReader(`{}`))
-		if err != nil {
-			codes <- -1
-			return
-		}
-		resp.Body.Close()
-		codes <- resp.StatusCode
-	}
-	go post() // job A takes the slot and blocks in fakeRun
-	<-started
-	go post() // job B is journaled, then waits in the queue
-	waitFor(t, func() bool { return srv.QueueDepth() == 1 })
+			codes := make(chan int, 2)
+			post := func(endpoint, body string) {
+				resp, err := http.Post(ts.URL+"/api/v1/"+endpoint, "application/json", strings.NewReader(body))
+				if err != nil {
+					codes <- -1
+					return
+				}
+				resp.Body.Close()
+				codes <- resp.StatusCode
+			}
+			go post("point", `{}`) // job A takes the slot and blocks in fakeRun
+			<-started
+			go post(tc.endpoint, tc.body) // job B is journaled, then waits in the queue
+			waitFor(t, func() bool { return srv.QueueDepth() == 1 })
 
-	drained := make(chan error, 1)
-	go func() { drained <- srv.Drain(t.Context()) }()
-	waitFor(t, srv.Draining)
+			drained := make(chan error, 1)
+			go func() { drained <- srv.Drain(t.Context()) }()
+			waitFor(t, srv.Draining)
 
-	// B is bounced with 503 while A is still running.
-	if got := <-codes; got != http.StatusServiceUnavailable {
-		t.Fatalf("queued job during drain = %d, want 503", got)
-	}
-	close(release)
-	if err := <-drained; err != nil {
-		t.Fatalf("Drain = %v", err)
-	}
-	if got := <-codes; got != http.StatusOK {
-		t.Fatalf("in-flight job during drain = %d, want 200", got)
-	}
+			// B is bounced with 503 while A is still running.
+			if got := <-codes; got != http.StatusServiceUnavailable {
+				t.Fatalf("queued job during drain = %d, want 503", got)
+			}
+			close(release)
+			if err := <-drained; err != nil {
+				t.Fatalf("Drain = %v", err)
+			}
+			if got := <-codes; got != http.StatusOK {
+				t.Fatalf("in-flight job during drain = %d, want 200", got)
+			}
 
-	// The journal (reopened, as a restart would) must hold exactly one
-	// record — job B, still queued, never flipped to running. A's done
-	// record was compacted away by the clean drain, and the compaction
-	// was counted.
-	j2 := openJournal(t, dir)
-	inc := j2.Incomplete()
-	if len(inc) != 1 || inc[0].State != journal.StateQueued {
-		t.Fatalf("Incomplete after drain = %+v, want one queued record", inc)
-	}
-	if got := len(j2.List()); got != 1 {
-		t.Fatalf("journal has %d records, want 1 (A compacted away, B queued)", got)
-	}
-	if got := srv.Metrics().JournalCompacted.Load(); got != 1 {
-		t.Fatalf("JournalCompacted = %d, want 1", got)
-	}
+			// The journal (reopened, as a restart would) must hold exactly
+			// one record — job B, still queued, never flipped to running.
+			// A's done record was compacted away by the clean drain, and
+			// the compaction was counted.
+			j2 := openJournal(t, dir)
+			inc := j2.Incomplete()
+			if len(inc) != 1 || inc[0].State != journal.StateQueued || inc[0].Endpoint != tc.endpoint {
+				t.Fatalf("Incomplete after drain = %+v, want one queued %s record", inc, tc.endpoint)
+			}
+			if got := len(j2.List()); got != 1 {
+				t.Fatalf("journal has %d records, want 1 (A compacted away, B queued)", got)
+			}
+			if got := srv.Metrics().JournalCompacted.Load(); got != 1 {
+				t.Fatalf("JournalCompacted = %d, want 1", got)
+			}
 
-	// A restarted daemon replays B to completion.
-	srv2 := New(Config{Journal: j2})
-	fakeRunNow(srv2)
-	if n := srv2.Recover(); n != 1 {
-		t.Fatalf("Recover = %d, want 1", n)
-	}
-	waitFor(t, func() bool {
-		rec, ok := j2.Get(inc[0].ID)
-		return ok && rec.State == journal.StateDone
-	})
-	if got := srv2.Metrics().Recovered.Load(); got != 1 {
-		t.Fatalf("Recovered = %d, want 1", got)
+			// A restarted daemon replays B to completion, expanding the
+			// same points the original admission counted.
+			srv2 := New(Config{Journal: j2})
+			fakeRunNow(srv2)
+			if n := srv2.Recover(); n != 1 {
+				t.Fatalf("Recover = %d, want 1", n)
+			}
+			var rec journal.Record
+			waitFor(t, func() bool {
+				var ok bool
+				rec, ok = j2.Get(inc[0].ID)
+				return ok && rec.State == journal.StateDone
+			})
+			if rec.Points != tc.points || rec.Completed != rec.Points {
+				t.Fatalf("replayed %s job completed %d of %d points, want %d of %d",
+					tc.endpoint, rec.Completed, rec.Points, tc.points, tc.points)
+			}
+			if got := srv2.Metrics().Recovered.Load(); got != 1 {
+				t.Fatalf("Recovered = %d, want 1", got)
+			}
+		})
 	}
 }
 
