@@ -140,18 +140,11 @@ func (r *reporter) point(label string, cfg lsnuma.Config, workload string) lsnum
 // leaves a hole in the map (annotated on stderr) instead of killing the
 // report.
 func (r *reporter) compare(workload string) map[lsnuma.Protocol]*lsnuma.Result {
-	protos := lsnuma.Protocols()
-	points := make([]lsnuma.Point, len(protos))
-	for i, p := range protos {
-		c := lsnuma.WorkloadConfig(workload)
-		c.Protocol = p
-		points[i] = r.point(fmt.Sprintf("%s/%s", workload, p), c, workload)
-	}
-	results := r.runAll(points)
-	out := make(map[lsnuma.Protocol]*lsnuma.Result, len(protos))
-	for i, p := range protos {
-		if results[i].Result != nil {
-			out[p] = results[i].Result
+	results := r.runAll(lsnuma.ComparePoints(r.flags.Apply(lsnuma.WorkloadConfig(workload)), workload, r.scale))
+	out := make(map[lsnuma.Protocol]*lsnuma.Result, len(results))
+	for _, pr := range results {
+		if pr.Result != nil {
+			out[pr.Config.Protocol] = pr.Result
 		}
 	}
 	return out
@@ -190,26 +183,20 @@ func (r *reporter) figure(n int) {
 		fmt.Println(report.BehaviorFigure("Figure 4: Behavior of Cholesky", r.compare("cholesky")))
 	case 5:
 		// 3 node counts x 3 protocols, all concurrent.
-		nodeCounts := []int{4, 16, 32}
 		var points []lsnuma.Point
-		for _, nodes := range nodeCounts {
-			for _, p := range lsnuma.Protocols() {
-				cfg := lsnuma.DefaultConfig()
-				cfg.Nodes = nodes
-				cfg.Protocol = p
-				points = append(points, r.point(fmt.Sprintf("procs=%d/%s", nodes, p), cfg, "cholesky"))
-			}
-		}
-		results := r.runAll(points)
 		byProcs := map[int]map[lsnuma.Protocol]*lsnuma.Result{}
-		i := 0
-		for _, nodes := range nodeCounts {
+		for _, nodes := range []int{4, 16, 32} {
+			cfg := lsnuma.DefaultConfig()
+			cfg.Nodes = nodes
+			for _, pt := range lsnuma.ComparePoints(r.flags.Apply(cfg), "cholesky", r.scale) {
+				pt.Label = fmt.Sprintf("procs=%d/%s", nodes, pt.Config.Protocol)
+				points = append(points, pt)
+			}
 			byProcs[nodes] = map[lsnuma.Protocol]*lsnuma.Result{}
-			for _, p := range lsnuma.Protocols() {
-				if results[i].Result != nil {
-					byProcs[nodes][p] = results[i].Result
-				}
-				i++
+		}
+		for _, pr := range r.runAll(points) {
+			if pr.Result != nil {
+				byProcs[pr.Config.Nodes][pr.Config.Protocol] = pr.Result
 			}
 		}
 		fmt.Println(report.InvalidationFigure(

@@ -187,24 +187,10 @@ func NewMachine(cfg Config) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := stats.New(cfg.Nodes)
-	nw, err := network.New(network.Config{
-		HopDelay:      cfg.Timing.HopDelay,
-		BytesPerCycle: cfg.Timing.BytesPerCycle,
-		BlockSize:     cfg.L2.BlockSize,
-		Topology:      cfg.Timing.Topology,
-		Concentration: cfg.Timing.Concentration,
-	}, cfg.Nodes, st)
-	if err != nil {
-		return nil, err
-	}
 	m := &Machine{
-		cfg:    cfg,
 		layout: layout,
 		dir:    directory.New(layout, cfg.Protocol.InitEntry),
-		net:    nw,
-		st:     st,
-		alloc:  memory.NewAllocator(layout, 0),
+		st:     stats.New(cfg.Nodes),
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		h, err := cache.NewHierarchy(cfg.L1, cfg.L2)
@@ -213,30 +199,9 @@ func NewMachine(cfg Config) (*Machine, error) {
 		}
 		m.nodes = append(m.nodes, &node{caches: h})
 	}
-	if cfg.TrackSequences {
-		m.seq = classify.NewSequences(layout)
-		m.seq.Locate = m.alloc.FindName
+	if err := m.setup(cfg); err != nil {
+		return nil, err
 	}
-	if cfg.TrackFalseSharing {
-		m.fs = classify.NewFalseSharing(layout, cfg.Nodes)
-	}
-	if cfg.CheckLevel > check.Off {
-		m.checker = check.New(layout, m.dir, m.hierarchies())
-		m.checkEvery = cfg.CheckInterval
-		if m.checkEvery == 0 {
-			m.checkEvery = 4096
-		}
-		m.touched = make([]memory.Addr, 0, 8)
-	}
-	m.faults = cfg.FaultInjector
-	if cfg.RecordOps > 0 {
-		m.ring = make([]OpTrace, cfg.RecordOps)
-	}
-	if cfg.DirMSHRs > 0 || cfg.MsgFaults != nil || cfg.Retry.Enabled() {
-		m.resil = newResil(cfg)
-	}
-	m.cancel = cfg.Cancel
-	m.hooks = m.checker != nil || m.faults != nil || m.ring != nil || m.cancel != nil
 	return m, nil
 }
 
@@ -260,6 +225,29 @@ func (m *Machine) Reset(cfg Config) error {
 		return fmt.Errorf("engine: Reset with fault injectors (build a fresh machine)")
 	}
 	m.st.Reset()
+	m.dir.SetInit(cfg.Protocol.InitEntry)
+	m.dir.Reset()
+	for _, n := range m.nodes {
+		n.caches.Reset()
+		n.ctrlBusy = 0
+	}
+	m.procs = nil
+	m.programs, m.started, m.done = nil, 0, nil
+	m.h.a = m.h.a[:0]
+	m.aborted = false
+	m.runAheadOps = 0
+	m.recorder = nil
+	m.servicing = nil
+	m.split = m.split[:0]
+	return m.setup(cfg)
+}
+
+// setup installs cfg and builds the per-run state over the machine's
+// structure (layout, directory, caches, stats): the network, the
+// allocator, the classifiers, the checker, the op ring, the resilient
+// transaction layer and the hooks gate. NewMachine and Reset both end
+// in it.
+func (m *Machine) setup(cfg Config) error {
 	nw, err := network.New(network.Config{
 		HopDelay:      cfg.Timing.HopDelay,
 		BytesPerCycle: cfg.Timing.BytesPerCycle,
@@ -270,21 +258,13 @@ func (m *Machine) Reset(cfg Config) error {
 	if err != nil {
 		return err
 	}
-	m.cfg = cfg
-	m.net = nw
-	m.dir.SetInit(cfg.Protocol.InitEntry)
-	m.dir.Reset()
-	for _, n := range m.nodes {
-		n.caches.Reset()
-		n.ctrlBusy = 0
-	}
+	m.cfg, m.net = cfg, nw
 	m.alloc = memory.NewAllocator(m.layout, 0)
-	m.seq = nil
+	m.seq, m.fs = nil, nil
 	if cfg.TrackSequences {
 		m.seq = classify.NewSequences(m.layout)
 		m.seq.Locate = m.alloc.FindName
 	}
-	m.fs = nil
 	if cfg.TrackFalseSharing {
 		m.fs = classify.NewFalseSharing(m.layout, cfg.Nodes)
 	}
@@ -297,26 +277,17 @@ func (m *Machine) Reset(cfg Config) error {
 			m.checkEvery = 4096
 		}
 	}
-	m.faults = nil
+	m.faults = cfg.FaultInjector
 	m.ring, m.ringPos, m.ringLen = nil, 0, 0
 	if cfg.RecordOps > 0 {
 		m.ring = make([]OpTrace, cfg.RecordOps)
 	}
 	m.resil = nil
-	if cfg.DirMSHRs > 0 || cfg.Retry.Enabled() {
+	if cfg.DirMSHRs > 0 || cfg.MsgFaults != nil || cfg.Retry.Enabled() {
 		m.resil = newResil(cfg)
 	}
 	m.cancel = cfg.Cancel
-	m.hooks = m.checker != nil || m.ring != nil || m.cancel != nil
-
-	m.procs = nil
-	m.programs, m.started, m.done = nil, 0, nil
-	m.h.a = m.h.a[:0]
-	m.aborted = false
-	m.runAheadOps = 0
-	m.recorder = nil
-	m.servicing = nil
-	m.split = m.split[:0]
+	m.hooks = m.checker != nil || m.faults != nil || m.ring != nil || m.cancel != nil
 	return nil
 }
 

@@ -1,6 +1,9 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -8,11 +11,13 @@ import (
 	"lsnuma"
 )
 
-// FuzzParseJobRequest drives the daemon's job-request decode path with
-// hostile bodies: whatever parses must satisfy the invariants every
-// handler (and the journal replay path) relies on — a valid workload, a
-// validated config, and a tenant name safe to use as a file-system and
-// metric label token.
+// FuzzParseJobRequest drives newJob, the daemon's job-request decode
+// and expansion path, with hostile bodies for every job endpoint:
+// whatever parses must satisfy the invariants every handler (and the
+// journal replay path) relies on — a valid workload, validated point
+// configs, and a tenant name safe to use as a file-system and metric
+// label token — and must expand reproducibly: the canonical request the
+// journal stores expands to the same job on replay.
 func FuzzParseJobRequest(f *testing.F) {
 	seeds := []string{
 		`{}`,
@@ -36,29 +41,38 @@ func FuzzParseJobRequest(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, base, scale, err := parseJobBytes(data)
-		if err != nil {
-			return // rejection is always acceptable; crashing is not
-		}
-		if req.Tenant != "" && !tenantPattern.MatchString(req.Tenant) {
-			t.Fatalf("accepted unsafe tenant %q", req.Tenant)
-		}
-		if !slices.Contains(lsnuma.Workloads(), req.Workload) {
-			t.Fatalf("accepted unknown workload %q", req.Workload)
-		}
-		if err := base.Validate(); err != nil {
-			t.Fatalf("accepted invalid config: %v", err)
-		}
-		if scale.String() == "" {
-			t.Fatalf("accepted request with unnamed scale %v", scale)
-		}
-		// A parsed sweep request must expand deterministically or fail
-		// cleanly — the same call the handler and journal replay make.
-		if req.Sweep != "" {
-			if _, _, _, err := sweepSpec(req, base, scale, 4096); err == nil {
-				if _, _, again, err2 := sweepSpec(req, base, scale, 4096); err2 != nil || len(again) == 0 {
-					t.Fatalf("sweep expansion not reproducible: %v", err2)
+		for _, endpoint := range endpoints {
+			j, err := newJob(endpoint, bytes.NewReader(data))
+			if err != nil {
+				continue // rejection is always acceptable; crashing is not
+			}
+			if j.req.Tenant != "" && !tenantPattern.MatchString(j.req.Tenant) {
+				t.Fatalf("%s: accepted unsafe tenant %q", endpoint, j.req.Tenant)
+			}
+			if !slices.Contains(lsnuma.Workloads(), j.req.Workload) {
+				t.Fatalf("%s: accepted unknown workload %q", endpoint, j.req.Workload)
+			}
+			if len(j.points) == 0 {
+				t.Fatalf("%s: accepted a job with no points", endpoint)
+			}
+			for _, pt := range j.points {
+				if err := pt.Config.Validate(); err != nil {
+					t.Fatalf("%s: accepted invalid config: %v", endpoint, err)
 				}
+				if pt.Scale.String() == "" {
+					t.Fatalf("%s: accepted request with unnamed scale %v", endpoint, pt.Scale)
+				}
+			}
+			body, err := json.Marshal(j.req)
+			if err != nil {
+				t.Fatalf("%s: canonical request does not marshal: %v", endpoint, err)
+			}
+			again, err := newJob(endpoint, bytes.NewReader(body))
+			if err != nil {
+				t.Fatalf("%s: canonical request %s rejected on replay: %v", endpoint, body, err)
+			}
+			if !reflect.DeepEqual(again.grid, j.grid) || !reflect.DeepEqual(again.points, j.points) {
+				t.Fatalf("%s: expansion of %s not reproducible", endpoint, body)
 			}
 		}
 	})

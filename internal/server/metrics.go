@@ -42,31 +42,8 @@ func (h *histogram) observe(d time.Duration) {
 	h.count.Add(1)
 }
 
-// quantile returns an upper-bound estimate (bucket boundary) of the
-// q-quantile in milliseconds; 0 when the histogram is empty.
-func (h *histogram) quantile(q float64) uint64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := uint64(q * float64(total))
-	if rank >= total {
-		rank = total - 1
-	}
-	var seen uint64
-	for i := range h.buckets {
-		seen += h.buckets[i].Load()
-		if seen > rank {
-			if i < len(histBoundsMs) {
-				return histBoundsMs[i]
-			}
-			return histBoundsMs[len(histBoundsMs)-1] * 2 // +Inf bucket: beyond the largest bound
-		}
-	}
-	return 0
-}
-
-// endpoints are the job endpoints carrying latency histograms.
+// endpoints are the job endpoints, each with a POST route and a latency
+// histogram.
 var endpoints = []string{"point", "sweep", "compare"}
 
 // Metrics is the daemon's observable state: admission and job counters,
@@ -80,7 +57,7 @@ type Metrics struct {
 	QueuedTotal      atomic.Uint64 // jobs that had to wait for a slot
 	Rejected         atomic.Uint64 // 429: queue full
 	RejectedDraining atomic.Uint64 // 503: drain in progress
-	AbandonedQueue   atomic.Uint64 // client gone while waiting for a slot
+	AbandonedQueue   atomic.Uint64 // queued jobs given up before a slot freed: client gone, or Close
 
 	// Job outcomes.
 	Completed   atomic.Uint64 // jobs that ran to completion (holes included)

@@ -15,13 +15,13 @@ import (
 	"lsnuma"
 )
 
-// fakeRun installs a runAll seam that signals each call's start on
+// fakeRun installs a RunAll seam that signals each call's start on
 // started, blocks until release is closed, then produces one zero
 // Result per point (invoking OnPoint in order).
 func fakeRun(s *Server) (started chan struct{}, release chan struct{}) {
 	started = make(chan struct{}, 64)
 	release = make(chan struct{})
-	s.runAll = func(ctx context.Context, points []lsnuma.Point, opt lsnuma.RunOptions) ([]lsnuma.PointResult, error) {
+	s.cfg.RunAll = func(ctx context.Context, points []lsnuma.Point, opt lsnuma.RunOptions) ([]lsnuma.PointResult, error) {
 		started <- struct{}{}
 		select {
 		case <-release:
@@ -115,7 +115,7 @@ func TestAdmissionControl(t *testing.T) {
 // daemon keeps serving.
 func TestPanicIsolation(t *testing.T) {
 	srv := New(Config{MaxJobs: 2})
-	srv.runAll = func(ctx context.Context, points []lsnuma.Point, opt lsnuma.RunOptions) ([]lsnuma.PointResult, error) {
+	srv.cfg.RunAll = func(ctx context.Context, points []lsnuma.Point, opt lsnuma.RunOptions) ([]lsnuma.PointResult, error) {
 		panic("handler bug")
 	}
 	ts := httptest.NewServer(srv.Handler())
@@ -280,16 +280,16 @@ func TestBadRequests(t *testing.T) {
 // TestParseJobRejectsInclusion: a config whose L1 outgrows its L2 is
 // refused at admission, not admitted and failed at machine build.
 func TestParseJobRejectsInclusion(t *testing.T) {
-	_, _, _, err := parseJobBytes([]byte(`{"workload":"oltp","config":{"L2":{"Size":32768}}}`))
+	_, err := newJob("point", strings.NewReader(`{"workload":"oltp","config":{"L2":{"Size":32768}}}`))
 	if err == nil || !strings.Contains(err.Error(), "exceeds L2 size") {
-		t.Fatalf("parseJobBytes = %v, want an L1/L2 inclusion error", err)
+		t.Fatalf("newJob = %v, want an L1/L2 inclusion error", err)
 	}
 }
 
 // fakeRunNow installs a seam that completes instantly with zero-value
 // results.
 func fakeRunNow(s *Server) {
-	s.runAll = func(ctx context.Context, points []lsnuma.Point, opt lsnuma.RunOptions) ([]lsnuma.PointResult, error) {
+	s.cfg.RunAll = func(ctx context.Context, points []lsnuma.Point, opt lsnuma.RunOptions) ([]lsnuma.PointResult, error) {
 		out := make([]lsnuma.PointResult, len(points))
 		for i, pt := range points {
 			out[i] = lsnuma.PointResult{Point: pt, Result: &lsnuma.Result{}}
@@ -305,7 +305,7 @@ func fakeRunNow(s *Server) {
 // complete in reverse, and the stream is framed job/cell.../done.
 func TestSweepStreamOrder(t *testing.T) {
 	srv := New(Config{MaxJobs: 1})
-	srv.runAll = func(ctx context.Context, points []lsnuma.Point, opt lsnuma.RunOptions) ([]lsnuma.PointResult, error) {
+	srv.cfg.RunAll = func(ctx context.Context, points []lsnuma.Point, opt lsnuma.RunOptions) ([]lsnuma.PointResult, error) {
 		out := make([]lsnuma.PointResult, len(points))
 		for i := len(points) - 1; i >= 0; i-- { // complete in reverse
 			out[i] = lsnuma.PointResult{Point: points[i], Result: &lsnuma.Result{}}
@@ -368,7 +368,7 @@ func TestSweepStreamOrder(t *testing.T) {
 // with a correct trailer, and failures carry error + repro fields.
 func TestCompareStream(t *testing.T) {
 	srv := New(Config{MaxJobs: 1})
-	srv.runAll = func(ctx context.Context, points []lsnuma.Point, opt lsnuma.RunOptions) ([]lsnuma.PointResult, error) {
+	srv.cfg.RunAll = func(ctx context.Context, points []lsnuma.Point, opt lsnuma.RunOptions) ([]lsnuma.PointResult, error) {
 		out := make([]lsnuma.PointResult, len(points))
 		for i, pt := range points {
 			out[i] = lsnuma.PointResult{Point: pt, Result: &lsnuma.Result{}}

@@ -114,9 +114,8 @@ type RunOptions struct {
 	// OnPoint, if non-nil, is invoked as each point completes (success,
 	// cache hit or failure), before RunAll returns — the streaming hook
 	// behind the lsnumad daemon's NDJSON responses and the completion
-	// cursor its job journal persists (see SweepProgress for the
-	// grid-order bookkeeping). Calls come from the
-	// worker goroutines in completion order, possibly concurrently: the
+	// cursor its job journal persists. Calls come from the worker
+	// goroutines in completion order, possibly concurrently: the
 	// callback must be safe for concurrent use and should return
 	// quickly. Points skipped by context cancellation do not invoke it;
 	// they appear only in RunAll's returned slice.
@@ -241,18 +240,26 @@ func Compare(cfg Config, workloadName string, scale Scale) (map[Protocol]*Result
 	return CompareContext(context.Background(), cfg, workloadName, scale, RunOptions{})
 }
 
-// CompareContext is Compare with a cancellation context and explicit run
-// options. Results are independent per protocol and bit-identical to
-// serial Run calls (the simulations share no state).
-func CompareContext(ctx context.Context, cfg Config, workloadName string, scale Scale, opt RunOptions) (map[Protocol]*Result, error) {
+// ComparePoints returns the points of a protocol comparison: cfg under
+// every protocol, in Protocols() order, labeled "workload/protocol".
+// It is the counterpart of SweepPoints for CompareContext, lsreport's
+// figures and the lsnumad daemon's compare jobs.
+func ComparePoints(cfg Config, workloadName string, scale Scale) []Point {
 	protos := Protocols()
 	points := make([]Point, len(protos))
 	for i, p := range protos {
 		c := cfg
 		c.Protocol = p
-		points[i] = Point{Label: string(p), Config: c, Workload: workloadName, Scale: scale}
+		points[i] = Point{Label: fmt.Sprintf("%s/%s", workloadName, p), Config: c, Workload: workloadName, Scale: scale}
 	}
-	results, err := RunAll(ctx, points, opt)
+	return points
+}
+
+// CompareContext is Compare with a cancellation context and explicit run
+// options. Results are independent per protocol and bit-identical to
+// serial Run calls (the simulations share no state).
+func CompareContext(ctx context.Context, cfg Config, workloadName string, scale Scale, opt RunOptions) (map[Protocol]*Result, error) {
+	results, err := RunAll(ctx, ComparePoints(cfg, workloadName, scale), opt)
 	if err != nil {
 		// Preserve Compare's historical contract: any failure fails the
 		// comparison (a protocol comparison with a missing column is
@@ -264,9 +271,9 @@ func CompareContext(ctx context.Context, cfg Config, workloadName string, scale 
 		}
 		return nil, err
 	}
-	out := make(map[Protocol]*Result, len(protos))
-	for i, p := range protos {
-		out[p] = results[i].Result
+	out := make(map[Protocol]*Result, len(results))
+	for _, r := range results {
+		out[r.Config.Protocol] = r.Result
 	}
 	return out, nil
 }

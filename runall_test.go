@@ -202,3 +202,23 @@ func TestSweepEndToEnd(t *testing.T) {
 		}
 	}
 }
+
+// TestPointResultFresh: the freshness predicate matches the cache flags.
+func TestPointResultFresh(t *testing.T) {
+	res := &Result{}
+	cases := []struct {
+		pr   PointResult
+		want bool
+	}{
+		{PointResult{Result: res}, true},
+		{PointResult{Result: res, Cached: true}, false},
+		{PointResult{Result: res, Deduped: true}, false},
+		{PointResult{Err: context.Canceled}, false},
+		{PointResult{}, false},
+	}
+	for i, tc := range cases {
+		if got := tc.pr.Fresh(); got != tc.want {
+			t.Errorf("case %d: Fresh() = %v, want %v", i, got, tc.want)
+		}
+	}
+}

@@ -146,74 +146,6 @@ func CellResult(g SweepPoint, prs []PointResult) SweepResult {
 	return out
 }
 
-// SweepProgress tracks cell completion over the flat point list of a
-// SweepPoints run: points complete in any order, and the tracker hands
-// back cells in grid order exactly once, as soon as every protocol of a
-// cell has finished. It is the single implementation behind both the
-// lsnumad daemon's in-order NDJSON cell stream and the job journal's
-// completion cursor (the leading-complete cell count is what survives a
-// daemon restart meaningfully: every cell before the cursor is durable
-// in the result cache).
-//
-// SweepProgress is not safe for concurrent use; callers serialize
-// PointDone/Flush (the daemon holds its stream mutex across both).
-type SweepProgress struct {
-	nproto int
-	remain []int
-	seen   []bool
-	next   int
-	done   int
-}
-
-// NewSweepProgress returns a tracker for a grid of cells cells, each
-// awaiting one point per protocol (the SweepPoints layout).
-func NewSweepProgress(cells int) *SweepProgress {
-	nproto := len(Protocols())
-	remain := make([]int, cells)
-	for i := range remain {
-		remain[i] = nproto
-	}
-	return &SweepProgress{nproto: nproto, remain: remain, seen: make([]bool, cells*nproto)}
-}
-
-// PointDone records completion of flat point index i (grid-major,
-// protocol-minor) and returns the indexes of cells that became emittable
-// because of it, in grid order. A cell is emittable when all its
-// protocols are done and every earlier cell has already been handed out.
-// Out-of-range indexes and repeat completions are ignored.
-func (p *SweepProgress) PointDone(i int) []int {
-	if i < 0 || i >= len(p.seen) || p.seen[i] {
-		return nil
-	}
-	p.seen[i] = true
-	p.remain[i/p.nproto]--
-	p.done++
-	var ready []int
-	for p.next < len(p.remain) && p.remain[p.next] == 0 {
-		ready = append(ready, p.next)
-		p.next++
-	}
-	return ready
-}
-
-// Flush returns every cell not yet handed out (in grid order) and marks
-// them emitted — the tail-flush path for cancelled sweeps whose skipped
-// points never reach PointDone.
-func (p *SweepProgress) Flush() []int {
-	var rest []int
-	for ; p.next < len(p.remain); p.next++ {
-		rest = append(rest, p.next)
-	}
-	return rest
-}
-
-// PointsDone returns how many points have completed.
-func (p *SweepProgress) PointsDone() int { return p.done }
-
-// Cursor returns the leading-complete cell count: every cell below it
-// has been handed out in grid order.
-func (p *SweepProgress) Cursor() int { return p.next }
-
 // Sweep runs the Table 1 grid along param for the workload under every
 // protocol, with all (point, protocol) simulations executing concurrently
 // on a bounded worker pool. Results come back in grid order; a failed
