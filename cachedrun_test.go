@@ -180,16 +180,18 @@ func TestCacheSchemaInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	next := &ResultCache{c: bumped}
-	if res, ok := next.lookup(pts[0]); ok || res != nil {
-		t.Fatal("entry from old schema version visible after bump")
+	computed := 0
+	stub := func() (*Result, *ReproBundle, error) { computed++; return &Result{}, nil, nil }
+	if _, _, cached, _, err := next.do(pts[0], stub); err != nil || cached || computed != 1 {
+		t.Fatalf("bumped cache: cached=%v computed=%d err=%v; want a fresh computation", cached, computed, err)
 	}
 	if s := next.Stats(); s.Misses != 1 {
 		t.Fatalf("stats after stale lookup = %+v, want 1 miss", s)
 	}
 
 	// The current version still hits.
-	if _, ok := cur.lookup(pts[0]); !ok {
-		t.Fatal("entry lost under its own schema version")
+	if _, _, cached, _, err := cur.do(pts[0], stub); err != nil || !cached || computed != 1 {
+		t.Fatalf("current cache: cached=%v computed=%d err=%v; want the stored entry", cached, computed, err)
 	}
 }
 
@@ -254,16 +256,22 @@ func TestCacheSkipsFaultInjection(t *testing.T) {
 	rc := openCache(t, t.TempDir())
 	pt := cachePoints()[0]
 	pt.Config.Faults = "drop-inval:1"
-	if res, ok := rc.lookup(pt); ok || res != nil {
-		t.Fatal("fault-injected point answered from cache")
+	computed := 0
+	stub := func() (*Result, *ReproBundle, error) { computed++; return &Result{}, nil, nil }
+	for i := 0; i < 2; i++ {
+		if _, _, cached, _, err := rc.do(pt, stub); err != nil || cached {
+			t.Fatalf("run %d: cached=%v err=%v; fault-injected point answered from cache", i, cached, err)
+		}
 	}
-	rc.store(pt, &Result{})
-	if s := rc.Stats(); s.Skips != 1 {
-		t.Fatalf("stats = %+v, want 1 skip", s)
+	if computed != 2 {
+		t.Fatalf("computed %d times, want 2: the first run's Result was stored", computed)
+	}
+	if s := rc.Stats(); s.Skips != 2 || s.Hits+s.Misses != 0 {
+		t.Fatalf("stats = %+v, want 2 skips and no lookups", s)
 	}
 	pt2 := pt
 	pt2.Config.Faults = ""
-	if _, ok := rc.lookup(pt2); ok {
+	if _, _, cached, _, _ := rc.do(pt2, stub); cached {
 		t.Fatal("store of a fault-injected point landed in the cache")
 	}
 }

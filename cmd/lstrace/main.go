@@ -16,12 +16,9 @@ import (
 
 	"lsnuma"
 	"lsnuma/internal/cli"
+	"lsnuma/internal/memory"
 	"lsnuma/internal/trace"
 	"lsnuma/internal/workload"
-	"lsnuma/internal/workload/cholesky"
-	"lsnuma/internal/workload/lu"
-	"lsnuma/internal/workload/mp3d"
-	"lsnuma/internal/workload/oltp"
 )
 
 func main() {
@@ -62,21 +59,6 @@ func main() {
 	}
 }
 
-func newWorkload(name string, scale workload.Scale, cpus int) (workload.Workload, error) {
-	switch name {
-	case "mp3d":
-		return mp3d.New(scale, cpus), nil
-	case "cholesky":
-		return cholesky.New(scale, cpus), nil
-	case "lu":
-		return lu.New(scale, cpus), nil
-	case "oltp":
-		return oltp.New(scale, cpus), nil
-	default:
-		return nil, fmt.Errorf("unknown workload %q", name)
-	}
-}
-
 func doCapture(cfg lsnuma.Config, workloadName, protoName, scaleName, out string) {
 	scale, err := workload.ParseScale(scaleName)
 	if err != nil {
@@ -86,7 +68,7 @@ func doCapture(cfg lsnuma.Config, workloadName, protoName, scaleName, out string
 	if err != nil {
 		fatal(err)
 	}
-	w, err := newWorkload(workloadName, scale, m.Nodes())
+	w, err := lsnuma.NewWorkload(workloadName, scale, m.Nodes())
 	if err != nil {
 		fatal(err)
 	}
@@ -159,7 +141,7 @@ func doInfo(path string) {
 		switch {
 		case op.RMW:
 			rmws++
-		case op.Kind == 1:
+		case op.Kind == memory.Store:
 			stores++
 		default:
 			loads++

@@ -299,7 +299,6 @@ func (c Config) engineConfig() (engine.Config, error) {
 			TagHysteresis:   c.Variant.TagHysteresis,
 			DetagHysteresis: c.Variant.DetagHysteresis,
 		}),
-		TrackSequences:    true,
 		TrackFalseSharing: c.TrackFalseSharing,
 		SoftwareExclusive: softwareExclusive,
 		RelaxedWrites:     c.RelaxedWrites,

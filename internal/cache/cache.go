@@ -125,15 +125,6 @@ func (c *Cache) set(block memory.Addr) []line {
 	return c.lines[base : base+c.assoc]
 }
 
-// Reset returns the cache to its freshly constructed state — all lines
-// invalid and the LRU clock at zero — reusing the line array. A Reset
-// cache behaves bit-identically to a new one (the clock restart matters:
-// LRU decisions compare clock values).
-func (c *Cache) Reset() {
-	clear(c.lines)
-	c.clock = 0
-}
-
 // Lookup returns the state of block, touching LRU on hit. Invalid means
 // miss.
 func (c *Cache) Lookup(block memory.Addr) State {

@@ -77,13 +77,6 @@ func NewHierarchy(l1cfg, l2cfg Config) (*Hierarchy, error) {
 	return &Hierarchy{l1: New(l1cfg), l2: New(l2cfg)}, nil
 }
 
-// Reset empties both levels and restarts their LRU clocks, reusing the
-// line arrays. A Reset hierarchy behaves bit-identically to a new one.
-func (h *Hierarchy) Reset() {
-	h.l1.Reset()
-	h.l2.Reset()
-}
-
 // L1 returns the first-level cache (for inspection in tests).
 func (h *Hierarchy) L1() *Cache { return h.l1 }
 

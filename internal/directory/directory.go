@@ -342,14 +342,9 @@ func New(layout memory.Layout, init func(*Entry)) *Directory {
 	}
 }
 
-// SetInit replaces the new-entry hook. Only meaningful on an empty (or
-// freshly Reset) directory; used when a pooled machine is retargeted at a
-// different protocol.
-func (d *Directory) SetInit(init func(*Entry)) { d.init = init }
-
 // Entry returns the directory entry for the block containing addr,
 // creating it in the Uncached state on first touch. The returned pointer
-// stays valid (and keeps aliasing the same block) until Reset.
+// stays valid and keeps aliasing the same block.
 func (d *Directory) Entry(block memory.Addr) *Entry {
 	idx := uint64(block) >> d.blockShift
 	pi := idx >> d.pageShift
@@ -413,18 +408,4 @@ func (d *Directory) ForEach(fn func(blockIndex uint64, e *Entry)) {
 			}
 		}
 	}
-}
-
-// Reset returns the directory to its freshly constructed state while
-// keeping the allocated pages for reuse, so a pooled machine can re-run a
-// sweep point without reallocating directory storage.
-func (d *Directory) Reset() {
-	for _, pg := range d.pages {
-		if pg == nil {
-			continue
-		}
-		clear(pg.present)
-		clear(pg.entries)
-	}
-	d.count = 0
 }

@@ -283,7 +283,7 @@ func TestForEach(t *testing.T) {
 // Go map order, making repro bundles and fault-target selection
 // nondeterministic.)
 //
-// Its subtest, like TestReset's, is named after the flat paged layout.
+// Its subtest is named after the flat paged layout.
 func TestForEachAscendingOrder(t *testing.T) {
 	// Insertion order deliberately scrambled, spanning several pages
 	// (4096/16 = 256 entries per page) and bitset words.
@@ -350,8 +350,8 @@ func entryEqual(a, b *Entry) bool {
 }
 
 // TestBackendEquivalence drives the paged directory and the map model
-// through an identical mutation sequence, with a Reset halfway, and
-// requires identical Len, Lookup and ForEach views.
+// through an identical mutation sequence and requires identical Len,
+// Lookup and ForEach views.
 func TestBackendEquivalence(t *testing.T) {
 	l := layout(t)
 	init := func(e *Entry) { e.LS = true }
@@ -361,10 +361,6 @@ func TestBackendEquivalence(t *testing.T) {
 	// A deterministic pseudo-random walk of touches and mutations.
 	x := uint64(12345)
 	for i := 0; i < 3000; i++ {
-		if i == 1000 {
-			flat.Reset()
-			clear(mp.entries)
-		}
 		x = x*6364136223846793005 + 1442695040888963407
 		block := memory.Addr((x>>16)%4096) * 16
 		ef, em := flat.Entry(block), mp.Entry(block)
@@ -432,53 +428,6 @@ func TestEntryPointerStability(t *testing.T) {
 	}
 	if e.State != Dirty || e.Owner != 2 {
 		t.Fatalf("entry contents changed: %+v", e)
-	}
-}
-
-// TestReset verifies Reset: the directory is empty and re-created
-// entries are fresh (init hook re-applied) while the pages are reused.
-func TestReset(t *testing.T) {
-	t.Run("flat", func(t *testing.T) {
-		d := New(layout(t), func(e *Entry) { e.Migratory = true })
-		e := d.Entry(0x100)
-		e.State = Dirty
-		e.Owner = 1
-		e.Migratory = false
-		d.Entry(0x5000)
-		d.Reset()
-		if d.Len() != 0 {
-			t.Fatalf("Len after Reset = %d", d.Len())
-		}
-		if _, ok := d.Lookup(0x100); ok {
-			t.Fatal("entry survived Reset")
-		}
-		n := 0
-		d.ForEach(func(uint64, *Entry) { n++ })
-		if n != 0 {
-			t.Fatalf("ForEach visited %d entries after Reset", n)
-		}
-		e2 := d.Entry(0x100)
-		if e2.State != Uncached || e2.Owner != memory.NoNode || !e2.Migratory {
-			t.Fatalf("re-created entry not fresh: %+v", e2)
-		}
-		if e2 != e {
-			t.Fatal("Reset did not reuse the page")
-		}
-	})
-}
-
-// TestSetInit verifies the protocol-hook swap used when a pooled machine
-// is retargeted at a different protocol.
-func TestSetInit(t *testing.T) {
-	d := New(layout(t), func(e *Entry) { e.LS = true })
-	if !d.Entry(0x10).LS {
-		t.Fatal("initial hook not applied")
-	}
-	d.Reset()
-	d.SetInit(func(e *Entry) { e.Migratory = true })
-	e := d.Entry(0x10)
-	if e.LS || !e.Migratory {
-		t.Fatalf("swapped hook not applied: %+v", e)
 	}
 }
 

@@ -103,49 +103,6 @@ func TestFalseSharingAllocs(t *testing.T) {
 	}
 }
 
-// TestResetRunAllocs guards the machine-reuse path: Reset + Run on a warm
-// machine must allocate a small fraction of what NewMachine + Run costs,
-// since every array (caches, directory pages, stats, op pool) is retained.
-func TestResetRunAllocs(t *testing.T) {
-	cfg := testConfig(protocol.LS, protocol.Variant{})
-	m, err := NewMachine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exercise := func() {
-		buf := m.Alloc().Alloc("buf", 4096, 0)
-		prog := func(p *Proc) {
-			for i := 0; i < 2000; i++ {
-				a := buf + memory.Addr((i*memory.WordSize)%4096)
-				p.Read(a)
-				p.Write(a)
-			}
-		}
-		if err := m.Run([]Program{prog}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	exercise() // warm the machine before measuring
-	reused := testing.AllocsPerRun(3, func() {
-		if err := m.Reset(cfg); err != nil {
-			t.Fatal(err)
-		}
-		exercise()
-	})
-	fresh := testing.AllocsPerRun(3, func() {
-		fm, err := NewMachine(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m = fm
-		exercise()
-	})
-	t.Logf("allocs: fresh build+run=%.0f, reset+run=%.0f (%.1f%%)", fresh, reused, 100*reused/fresh)
-	if reused > fresh/2 {
-		t.Errorf("Reset+Run allocates %.0f, want well under half of a fresh build+run (%.0f)", reused, fresh)
-	}
-}
-
 // TestStraddlingAccessAllocs guards the block-straddling path: the split
 // scratch buffer is reused, so multi-block accesses must not allocate per
 // access either.

@@ -129,9 +129,6 @@ type Config struct {
 	Timing Timing
 	// Protocol selects the coherence policy (Baseline, AD or LS).
 	Protocol protocol.Protocol
-	// TrackSequences enables the load-store/migratory sequence detector
-	// (Tables 2 and 3). Cheap; enabled by default in the public API.
-	TrackSequences bool
 	// TrackFalseSharing enables the word-granularity Dubois classifier
 	// (Table 4). Costs memory proportional to the touched address space.
 	TrackFalseSharing bool

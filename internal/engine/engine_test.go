@@ -14,14 +14,13 @@ import (
 // replacements, 16 B blocks, and the default timing.
 func testConfig(kind protocol.Kind, v protocol.Variant) Config {
 	return Config{
-		Nodes:          4,
-		L1:             cache.Config{Size: 4 * 1024, Assoc: 1, BlockSize: 16, AccessTime: 1},
-		L2:             cache.Config{Size: 64 * 1024, Assoc: 1, BlockSize: 16, AccessTime: 10},
-		PageSize:       4096,
-		Timing:         DefaultTiming(),
-		Protocol:       protocol.New(kind, v),
-		TrackSequences: true,
-		MaxCycles:      200_000_000,
+		Nodes:     4,
+		L1:        cache.Config{Size: 4 * 1024, Assoc: 1, BlockSize: 16, AccessTime: 1},
+		L2:        cache.Config{Size: 64 * 1024, Assoc: 1, BlockSize: 16, AccessTime: 10},
+		PageSize:  4096,
+		Timing:    DefaultTiming(),
+		Protocol:  protocol.New(kind, v),
+		MaxCycles: 200_000_000,
 	}
 }
 

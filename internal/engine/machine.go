@@ -53,8 +53,8 @@ type Machine struct {
 	// "holds the conch" and passes it on with a channel operation (a
 	// resume, a go statement, or the outcome sent to Run on done), so only
 	// the holder touches these fields and every access is ordered without
-	// locks. programs holds Run's programs until the last processor has
-	// started; started counts the processors started so far, in CPU order.
+	// locks. programs holds Run's programs; started counts the processors
+	// started so far, in CPU order.
 	h        opHeap // parked operations, one per processor still running
 	programs []Program
 	started  int
@@ -187,10 +187,26 @@ func NewMachine(cfg Config) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
+	st := stats.New(cfg.Nodes)
+	nw, err := network.New(network.Config{
+		HopDelay:      cfg.Timing.HopDelay,
+		BytesPerCycle: cfg.Timing.BytesPerCycle,
+		BlockSize:     cfg.L2.BlockSize,
+		Topology:      cfg.Timing.Topology,
+		Concentration: cfg.Timing.Concentration,
+	}, cfg.Nodes, st)
+	if err != nil {
+		return nil, err
+	}
 	m := &Machine{
+		cfg:    cfg,
 		layout: layout,
 		dir:    directory.New(layout, cfg.Protocol.InitEntry),
-		st:     stats.New(cfg.Nodes),
+		net:    nw,
+		st:     st,
+		alloc:  memory.NewAllocator(layout, 0),
+		faults: cfg.FaultInjector,
+		cancel: cfg.Cancel,
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		h, err := cache.NewHierarchy(cfg.L1, cfg.L2)
@@ -199,108 +215,26 @@ func NewMachine(cfg Config) (*Machine, error) {
 		}
 		m.nodes = append(m.nodes, &node{caches: h})
 	}
-	if err := m.setup(cfg); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// Reset returns the machine to its post-NewMachine state under a (possibly
-// different) configuration, so sweep runners can re-run points against one
-// machine instead of reallocating caches, directory pages and scheduler
-// structures per point. The new configuration must match the machine's
-// structure — node count, cache geometry and page size — and must not
-// install fault injectors (injector state is per-machine; pooling faulted
-// machines would break their determinism). A Reset machine produces
-// bit-identical Results to a freshly built one.
-func (m *Machine) Reset(cfg Config) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	if cfg.Nodes != m.cfg.Nodes || cfg.L1 != m.cfg.L1 || cfg.L2 != m.cfg.L2 ||
-		cfg.PageSize != m.cfg.PageSize {
-		return fmt.Errorf("engine: Reset with structurally different config")
-	}
-	if cfg.FaultInjector != nil || cfg.MsgFaults != nil {
-		return fmt.Errorf("engine: Reset with fault injectors (build a fresh machine)")
-	}
-	m.st.Reset()
-	m.dir.SetInit(cfg.Protocol.InitEntry)
-	m.dir.Reset()
-	for _, n := range m.nodes {
-		n.caches.Reset()
-		n.ctrlBusy = 0
-	}
-	m.procs = nil
-	m.programs, m.started, m.done = nil, 0, nil
-	m.h.a = m.h.a[:0]
-	m.aborted = false
-	m.runAheadOps = 0
-	m.recorder = nil
-	m.servicing = nil
-	m.split = m.split[:0]
-	return m.setup(cfg)
-}
-
-// setup installs cfg and builds the per-run state over the machine's
-// structure (layout, directory, caches, stats): the network, the
-// allocator, the classifiers, the checker, the op ring, the resilient
-// transaction layer and the hooks gate. NewMachine and Reset both end
-// in it.
-func (m *Machine) setup(cfg Config) error {
-	nw, err := network.New(network.Config{
-		HopDelay:      cfg.Timing.HopDelay,
-		BytesPerCycle: cfg.Timing.BytesPerCycle,
-		BlockSize:     cfg.L2.BlockSize,
-		Topology:      cfg.Timing.Topology,
-		Concentration: cfg.Timing.Concentration,
-	}, cfg.Nodes, m.st)
-	if err != nil {
-		return err
-	}
-	m.cfg, m.net = cfg, nw
-	m.alloc = memory.NewAllocator(m.layout, 0)
-	m.seq, m.fs = nil, nil
-	if cfg.TrackSequences {
-		m.seq = classify.NewSequences(m.layout)
-		m.seq.Locate = m.alloc.FindName
-	}
+	m.seq = classify.NewSequences(layout)
+	m.seq.Locate = m.alloc.FindName
 	if cfg.TrackFalseSharing {
-		m.fs = classify.NewFalseSharing(m.layout, cfg.Nodes)
+		m.fs = classify.NewFalseSharing(layout, cfg.Nodes)
 	}
-	m.checker, m.checkEvery = nil, 0
-	m.touched, m.opCount, m.sinceSweep = m.touched[:0], 0, 0
 	if cfg.CheckLevel > check.Off {
-		m.checker = check.New(m.layout, m.dir, m.hierarchies())
+		m.checker = check.New(layout, m.dir, m.hierarchies())
 		m.checkEvery = cfg.CheckInterval
 		if m.checkEvery == 0 {
 			m.checkEvery = 4096
 		}
 	}
-	m.faults = cfg.FaultInjector
-	m.ring, m.ringPos, m.ringLen = nil, 0, 0
 	if cfg.RecordOps > 0 {
 		m.ring = make([]OpTrace, cfg.RecordOps)
 	}
-	m.resil = nil
 	if cfg.DirMSHRs > 0 || cfg.MsgFaults != nil || cfg.Retry.Enabled() {
 		m.resil = newResil(cfg)
 	}
-	m.cancel = cfg.Cancel
 	m.hooks = m.checker != nil || m.faults != nil || m.ring != nil || m.cancel != nil
-	return nil
-}
-
-// Trim drops the per-run state that Reset rebuilds anyway — the
-// false-sharing classifier, the sequence detector, the allocator, the
-// checker and the op ring — so a machine idling in a reuse pool pins
-// only the structural arrays Reset keeps: caches, directory pages and
-// scheduler buffers. Read the run's results before trimming; the
-// machine runs again only after a Reset.
-func (m *Machine) Trim() {
-	m.fs, m.seq, m.alloc = nil, nil, nil
-	m.checker = nil
-	m.ring, m.ringPos, m.ringLen = nil, 0, 0
+	return m, nil
 }
 
 // hierarchies returns the per-node cache hierarchies indexed by node ID.
@@ -325,7 +259,7 @@ func (m *Machine) Nodes() int { return m.cfg.Nodes }
 // Stats exposes the statistics collector (final after Run returns).
 func (m *Machine) Stats() *stats.Stats { return m.st }
 
-// Sequences returns the load-store sequence analysis, or nil if disabled.
+// Sequences returns the load-store sequence analysis.
 func (m *Machine) Sequences() *classify.Sequences { return m.seq }
 
 // FalseSharing returns the Dubois miss classifier, or nil if disabled.
@@ -393,26 +327,21 @@ func (m *Machine) Run(programs []Program) error {
 		return m.finalize()
 	}
 	m.h.a = make([]*op, 0, len(m.procs))
-	m.programs, m.started = programs, 0
+	m.programs = programs
 	m.done = make(chan error)
 	m.startNext()
 	return <-m.done
 }
 
 // startNext starts the next processor in CPU order, handing it the conch,
-// and reports whether one was left to start. The program goes to the
-// goroutine, not to a field: a pooled machine keeps its Procs, and must
-// not keep the workload's data alive with them.
+// and reports whether one was left to start.
 func (m *Machine) startNext() bool {
 	if m.started == len(m.procs) {
 		return false
 	}
 	p := m.procs[m.started]
-	prog := m.programs[p.id]
-	if m.started++; m.started == len(m.procs) {
-		m.programs = nil
-	}
-	go p.run(prog)
+	m.started++
+	go p.run(m.programs[p.id])
 	return true
 }
 

@@ -96,9 +96,7 @@ func (m *Machine) accessBlock(p *Proc, addr memory.Addr, size uint32, kind memor
 		// "Write (by LR)" transition to Dirty needs no message; the home
 		// discovers the dirtiness when the next request is forwarded.
 		m.st.EliminatedOwnership++
-		if m.seq != nil {
-			m.seq.GlobalWrite(block, p.id, p.src, true)
-		}
+		m.seq.GlobalWrite(block, p.id, p.src, true)
 	}
 
 	var done uint64 = issued
@@ -180,9 +178,7 @@ func (m *Machine) readMiss(p *Proc, block memory.Addr, at uint64, wantExcl bool)
 	proto := m.cfg.Protocol
 
 	m.st.ReadMisses[m.classifyReadMiss(e, block)]++
-	if m.seq != nil {
-		m.seq.GlobalRead(block, R)
-	}
+	m.seq.GlobalRead(block, R)
 
 	t := m.request(p, block, H, stats.MsgReadReq, at)
 
@@ -296,9 +292,7 @@ func (m *Machine) upgrade(p *Proc, block memory.Addr, at uint64) uint64 {
 	if tagged := m.cfg.Protocol.NoteGlobalWrite(e, R, true); tagged {
 		m.st.Taggings++
 	}
-	if m.seq != nil {
-		m.seq.GlobalWrite(block, R, p.src, false)
-	}
+	m.seq.GlobalWrite(block, R, p.src, false)
 
 	t := m.request(p, block, H, stats.MsgOwnReq, at)
 	t = m.invalidateSharers(e, block, R, H, t)
@@ -326,9 +320,7 @@ func (m *Machine) writeMiss(p *Proc, block memory.Addr, at uint64) uint64 {
 	if tagged := proto.NoteGlobalWrite(e, R, false); tagged {
 		m.st.Taggings++
 	}
-	if m.seq != nil {
-		m.seq.GlobalWrite(block, R, p.src, false)
-	}
+	m.seq.GlobalWrite(block, R, p.src, false)
 
 	t := m.request(p, block, H, stats.MsgWriteReq, at)
 

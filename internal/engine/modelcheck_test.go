@@ -39,13 +39,12 @@ type mcOp struct {
 // conflict in L1 (one set) but not in L2.
 func mcMachine(t testing.TB, kind protocol.Kind, v protocol.Variant) *Machine {
 	m, err := NewMachine(Config{
-		Nodes:          3,
-		L1:             cache.Config{Size: 16, Assoc: 1, BlockSize: 16, AccessTime: 1},
-		L2:             cache.Config{Size: 64, Assoc: 1, BlockSize: 16, AccessTime: 10},
-		PageSize:       4096,
-		Timing:         DefaultTiming(),
-		Protocol:       protocol.New(kind, v),
-		TrackSequences: true,
+		Nodes:    3,
+		L1:       cache.Config{Size: 16, Assoc: 1, BlockSize: 16, AccessTime: 1},
+		L2:       cache.Config{Size: 64, Assoc: 1, BlockSize: 16, AccessTime: 10},
+		PageSize: 4096,
+		Timing:   DefaultTiming(),
+		Protocol: protocol.New(kind, v),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -163,14 +163,6 @@ func New(cfg Config, n int, st *stats.Stats) (*Network, error) {
 	}, nil
 }
 
-// Reset clears all port occupancy, returning the network to its freshly
-// constructed state (the stats sink is owned by the caller and reset
-// separately).
-func (nw *Network) Reset() {
-	clear(nw.egress)
-	clear(nw.ingress)
-}
-
 // msgBytes returns the wire size of a message of type t.
 func (nw *Network) msgBytes(t stats.MsgType) int {
 	n := stats.HeaderBytes

@@ -8,9 +8,9 @@
 // The store is deliberately forgiving on the read side — a missing,
 // truncated, corrupted or stale entry is a miss, never an error — and
 // conservative on the write side: entries are staged in a temp file and
-// renamed into place, with a best-effort exclusive lock file serializing
-// same-key writers. Since all writers of one key derive the entry from the
-// same deterministic simulation, losing a write race is harmless.
+// renamed into place. Since all writers of one key derive the entry from
+// the same deterministic simulation, they write identical bytes, and
+// whichever rename lands last is as good as any other.
 package resultcache
 
 import (
@@ -21,12 +21,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 )
-
-// lockStaleAfter is the age past which an abandoned lock file (e.g. from
-// a crashed process) is broken.
-const lockStaleAfter = 10 * time.Minute
 
 // Cache is one version-qualified cache directory. Entries written under
 // one version string are invisible under any other, which is how schema-
@@ -71,32 +66,14 @@ func (c *Cache) Get(key string) (data []byte, ok bool) {
 }
 
 // Put stores data under key: staged in a temp file, fsync-free, renamed
-// into place (atomic on POSIX). A lock file serializes same-key writers;
-// if another writer holds the lock the Put is skipped — the other writer
-// is storing the same deterministic result. Stale locks are broken.
+// into place (atomic on POSIX). Concurrent writers of one key need no
+// coordination: each renames its own complete temp file, so a reader
+// sees one writer's bytes whole, never a torn mix.
 func (c *Cache) Put(key string, data []byte) error {
 	path := c.Path(key)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("resultcache: %w", err)
 	}
-	lock := path + ".lock"
-	lf, err := os.OpenFile(lock, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-	if os.IsExist(err) {
-		if fi, serr := os.Stat(lock); serr == nil && time.Since(fi.ModTime()) > lockStaleAfter {
-			os.Remove(lock)
-			lf, err = os.OpenFile(lock, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-		}
-		if err != nil {
-			return nil // another live writer owns the key; its data is ours too
-		}
-	} else if err != nil {
-		return fmt.Errorf("resultcache: %w", err)
-	}
-	defer func() {
-		lf.Close()
-		os.Remove(lock)
-	}()
-
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return fmt.Errorf("resultcache: %w", err)

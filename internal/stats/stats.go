@@ -324,15 +324,6 @@ func New(n int) *Stats {
 	return &Stats{CPUs: make([]CPU, n)}
 }
 
-// Reset zeroes every counter while keeping the CPUs slice, so a pooled
-// machine's stats object (shared by reference with the network and
-// engine) can be reused across runs.
-func (s *Stats) Reset() {
-	cpus := s.CPUs
-	clear(cpus)
-	*s = Stats{CPUs: cpus}
-}
-
 // AddMsg records one message of type t carrying blockSize bytes of data if
 // the type is data-carrying.
 func (s *Stats) AddMsg(t MsgType, blockSize uint64) {

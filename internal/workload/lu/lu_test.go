@@ -13,14 +13,13 @@ import (
 func machine(t *testing.T, kind protocol.Kind) *engine.Machine {
 	t.Helper()
 	m, err := engine.NewMachine(engine.Config{
-		Nodes:          4,
-		L1:             cache.Config{Size: 4 * 1024, Assoc: 1, BlockSize: 16, AccessTime: 1},
-		L2:             cache.Config{Size: 64 * 1024, Assoc: 1, BlockSize: 16, AccessTime: 10},
-		PageSize:       4096,
-		Timing:         engine.DefaultTiming(),
-		Protocol:       protocol.New(kind, protocol.Variant{}),
-		TrackSequences: true,
-		MaxCycles:      20_000_000_000,
+		Nodes:     4,
+		L1:        cache.Config{Size: 4 * 1024, Assoc: 1, BlockSize: 16, AccessTime: 1},
+		L2:        cache.Config{Size: 64 * 1024, Assoc: 1, BlockSize: 16, AccessTime: 10},
+		PageSize:  4096,
+		Timing:    engine.DefaultTiming(),
+		Protocol:  protocol.New(kind, protocol.Variant{}),
+		MaxCycles: 20_000_000_000,
 	})
 	if err != nil {
 		t.Fatal(err)

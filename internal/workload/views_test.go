@@ -11,14 +11,13 @@ import (
 func testMachine(t *testing.T) *engine.Machine {
 	t.Helper()
 	m, err := engine.NewMachine(engine.Config{
-		Nodes:          2,
-		L1:             cache.Config{Size: 1024, Assoc: 1, BlockSize: 16, AccessTime: 1},
-		L2:             cache.Config{Size: 4096, Assoc: 1, BlockSize: 16, AccessTime: 10},
-		PageSize:       4096,
-		Timing:         engine.DefaultTiming(),
-		Protocol:       protocol.New(protocol.LS, protocol.Variant{}),
-		TrackSequences: true,
-		MaxCycles:      100_000_000,
+		Nodes:     2,
+		L1:        cache.Config{Size: 1024, Assoc: 1, BlockSize: 16, AccessTime: 1},
+		L2:        cache.Config{Size: 4096, Assoc: 1, BlockSize: 16, AccessTime: 10},
+		PageSize:  4096,
+		Timing:    engine.DefaultTiming(),
+		Protocol:  protocol.New(protocol.LS, protocol.Variant{}),
+		MaxCycles: 100_000_000,
 	})
 	if err != nil {
 		t.Fatal(err)

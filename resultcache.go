@@ -194,38 +194,6 @@ func (rc *ResultCache) put(key string, res *Result) {
 	}
 }
 
-// lookup returns the cached Result for pt, if any (see get for the
-// miss semantics). Kept as the direct, flight-free read path for tests
-// and tools; RunAll goes through do.
-func (rc *ResultCache) lookup(pt Point) (*Result, bool) {
-	if rc == nil {
-		return nil, false
-	}
-	if !cacheable(pt.Config) {
-		rc.skips.Add(1)
-		return nil, false
-	}
-	key, err := PointKey(pt.Config, pt.Workload, pt.Scale)
-	if err != nil {
-		rc.errs.Add(1)
-		return nil, false
-	}
-	return rc.get(key)
-}
-
-// store memoizes a fresh Result (see put for the failure semantics).
-func (rc *ResultCache) store(pt Point, res *Result) {
-	if rc == nil || !cacheable(pt.Config) {
-		return
-	}
-	key, err := PointKey(pt.Config, pt.Workload, pt.Scale)
-	if err != nil {
-		rc.errs.Add(1)
-		return
-	}
-	rc.put(key, res)
-}
-
 // pointOutcome is what one flight of a point's computation produced —
 // the value shared between a single-flight leader and its followers.
 type pointOutcome struct {

@@ -220,36 +220,34 @@ func fillResult(r *Result, st *stats.Stats, seq *classify.Sequences, fs *classif
 	r.Dir.Broadcasts = st.Dir.Broadcasts
 	r.Dir.Overflows = st.Dir.Overflows
 
-	if seq != nil {
-		for s := memory.Source(0); s < memory.NumSources; s++ {
-			r.Sources[s] = sourceRow(seq.Sources[s])
-		}
-		r.Total = sourceRow(seq.Total())
-		for i, v := range seq.Distance {
-			r.SequenceDistance[i] = v
-		}
-		if len(seq.Regions) > 0 {
-			r.RegionCoverage = make(map[string]CoverageRow, len(seq.Regions))
-			for name, c := range seq.Regions {
-				r.RegionCoverage[name] = CoverageRow{
-					LoadStoreWrites:     c.LoadStoreWrites,
-					LoadStoreEliminated: c.LoadStoreEliminated,
-					LoadStoreCoverage:   c.LoadStoreCoverage(),
-					MigratoryWrites:     c.MigratoryWrites,
-					MigratoryEliminated: c.MigratoryEliminated,
-					MigratoryCoverage:   c.MigratoryCoverage(),
-				}
+	for s := memory.Source(0); s < memory.NumSources; s++ {
+		r.Sources[s] = sourceRow(seq.Sources[s])
+	}
+	r.Total = sourceRow(seq.Total())
+	for i, v := range seq.Distance {
+		r.SequenceDistance[i] = v
+	}
+	if len(seq.Regions) > 0 {
+		r.RegionCoverage = make(map[string]CoverageRow, len(seq.Regions))
+		for name, c := range seq.Regions {
+			r.RegionCoverage[name] = CoverageRow{
+				LoadStoreWrites:     c.LoadStoreWrites,
+				LoadStoreEliminated: c.LoadStoreEliminated,
+				LoadStoreCoverage:   c.LoadStoreCoverage(),
+				MigratoryWrites:     c.MigratoryWrites,
+				MigratoryEliminated: c.MigratoryEliminated,
+				MigratoryCoverage:   c.MigratoryCoverage(),
 			}
 		}
-		cov := seq.Cov
-		r.Coverage = CoverageRow{
-			LoadStoreWrites:     cov.LoadStoreWrites,
-			LoadStoreEliminated: cov.LoadStoreEliminated,
-			LoadStoreCoverage:   cov.LoadStoreCoverage(),
-			MigratoryWrites:     cov.MigratoryWrites,
-			MigratoryEliminated: cov.MigratoryEliminated,
-			MigratoryCoverage:   cov.MigratoryCoverage(),
-		}
+	}
+	cov := seq.Cov
+	r.Coverage = CoverageRow{
+		LoadStoreWrites:     cov.LoadStoreWrites,
+		LoadStoreEliminated: cov.LoadStoreEliminated,
+		LoadStoreCoverage:   cov.LoadStoreCoverage(),
+		MigratoryWrites:     cov.MigratoryWrites,
+		MigratoryEliminated: cov.MigratoryEliminated,
+		MigratoryCoverage:   cov.MigratoryCoverage(),
 	}
 	if fs != nil {
 		for i := 0; i < 4; i++ {
