@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"time"
 
 	"lsnuma/internal/engine"
@@ -188,7 +189,9 @@ func runPointDiag(ctx context.Context, pt Point) (*Result, *ReproBundle, error) 
 // unchecked run) the checker's diagnosis plus the last operations
 // serviced before the failure. Cancelling ctx skips points that have not
 // started and records ctx's error for them; points already running
-// complete normally.
+// complete normally. A worker that computed a point collects garbage
+// before it takes the next, so a batch's memory peaks at the machines
+// running at once.
 func RunAll(ctx context.Context, points []Point, opt RunOptions) ([]PointResult, error) {
 	out := make([]PointResult, len(points))
 	for i := range points {
@@ -205,6 +208,14 @@ func RunAll(ctx context.Context, points []Point, opt RunOptions) ([]PointResult,
 		out[i].Err = err
 		if opt.OnPoint != nil {
 			opt.OnPoint(i, out[i])
+		}
+		if !cached && !deduped {
+			// The point's machine is garbage now. Collect it before this
+			// worker builds the next one: left to the pacer, a dead
+			// machine stays resident until the heap doubles, and a
+			// batch's peak memory would depend on where the collections
+			// happen to fall between its points.
+			runtime.GC()
 		}
 		return err
 	})
