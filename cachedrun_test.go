@@ -182,7 +182,7 @@ func TestCacheSchemaInvalidation(t *testing.T) {
 	next := &ResultCache{c: bumped}
 	computed := 0
 	stub := func() (*Result, *ReproBundle, error) { computed++; return &Result{}, nil, nil }
-	if _, _, cached, _, err := next.do(pts[0], stub); err != nil || cached || computed != 1 {
+	if _, _, cached, _, err := next.do(context.Background(), pts[0], stub); err != nil || cached || computed != 1 {
 		t.Fatalf("bumped cache: cached=%v computed=%d err=%v; want a fresh computation", cached, computed, err)
 	}
 	if s := next.Stats(); s.Misses != 1 {
@@ -190,7 +190,7 @@ func TestCacheSchemaInvalidation(t *testing.T) {
 	}
 
 	// The current version still hits.
-	if _, _, cached, _, err := cur.do(pts[0], stub); err != nil || !cached || computed != 1 {
+	if _, _, cached, _, err := cur.do(context.Background(), pts[0], stub); err != nil || !cached || computed != 1 {
 		t.Fatalf("current cache: cached=%v computed=%d err=%v; want the stored entry", cached, computed, err)
 	}
 }
@@ -259,7 +259,7 @@ func TestCacheSkipsFaultInjection(t *testing.T) {
 	computed := 0
 	stub := func() (*Result, *ReproBundle, error) { computed++; return &Result{}, nil, nil }
 	for i := 0; i < 2; i++ {
-		if _, _, cached, _, err := rc.do(pt, stub); err != nil || cached {
+		if _, _, cached, _, err := rc.do(context.Background(), pt, stub); err != nil || cached {
 			t.Fatalf("run %d: cached=%v err=%v; fault-injected point answered from cache", i, cached, err)
 		}
 	}
@@ -271,7 +271,7 @@ func TestCacheSkipsFaultInjection(t *testing.T) {
 	}
 	pt2 := pt
 	pt2.Config.Faults = ""
-	if _, _, cached, _, _ := rc.do(pt2, stub); cached {
+	if _, _, cached, _, _ := rc.do(context.Background(), pt2, stub); cached {
 		t.Fatal("store of a fault-injected point landed in the cache")
 	}
 }

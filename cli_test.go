@@ -29,7 +29,7 @@ func TestCLISurface(t *testing.T) {
 			"mshrs mutexprofile no-cache point-timeout retry scale scheduler table timeout version",
 		"lstrace": "capture check dirformat faults info o protocol replay scale scheduler version workload",
 		"lsnumad": "addr cache cache-dir drain-timeout j jobs no-cache point-timeout pprof-addr quantum queue " +
-			"retry-seed state-dir tenant-queue version",
+			"retry-seed state-dir version",
 	}
 	dir := t.TempDir()
 	args := []string{"build", "-o", dir + string(filepath.Separator)}

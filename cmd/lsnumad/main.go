@@ -109,8 +109,7 @@ func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:8347", "listen address")
 		jobs         = flag.Int("jobs", 2, "concurrent job slots")
-		queue        = flag.Int("queue", 8, "admission queue depth (beyond it: 429 + Retry-After)")
-		tenantQueue  = flag.Int("tenant-queue", 0, "per-tenant queue depth (0 = same as -queue)")
+		queue        = flag.Int("queue", 8, "queue depth per tenant, the default bucket included (beyond it: 429 + Retry-After)")
 		quantum      quantumFlag
 		retrySeed    = flag.Duration("retry-seed", 0, "assumed job duration for Retry-After before the first job completes (0 = 1s)")
 		pprofAddr    = flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060); bind loopback unless you mean to expose it")
@@ -143,17 +142,16 @@ func main() {
 	}
 
 	srv := server.New(server.Config{
-		MaxJobs:          *jobs,
-		QueueDepth:       *queue,
-		TenantQueueDepth: *tenantQueue,
-		Quantum:          quantum.def,
-		TenantQuanta:     quantum.per,
-		RetrySeed:        *retrySeed,
-		Journal:          jn,
-		Parallelism:      flags.Parallelism,
-		PointTimeout:     flags.PointTimeout,
-		Cache:            cache,
-		Logf:             logf,
+		MaxJobs:      *jobs,
+		QueueDepth:   *queue,
+		Quantum:      quantum.def,
+		TenantQuanta: quantum.per,
+		RetrySeed:    *retrySeed,
+		Journal:      jn,
+		Parallelism:  flags.Parallelism,
+		PointTimeout: flags.PointTimeout,
+		Cache:        cache,
+		Logf:         logf,
 	})
 	if n := srv.Recover(); n > 0 {
 		fmt.Fprintf(os.Stderr, "lsnumad: replaying %d incomplete job(s) from %s\n", n, *stateDir)

@@ -430,10 +430,11 @@ func (m *Machine) abort(self *Proc, err error) {
 	m.done <- err
 }
 
-// service executes one scheduled operation: the recorder hook (if any),
-// the detailed memory-system model, and the issuing processor's
-// completion bookkeeping. Identical in effect to the inline run-ahead
-// path of Proc.runInline.
+// service executes one operation: the recorder hook (if any), the
+// pre-transaction check, the detailed memory-system model, the issuing
+// processor's completion bookkeeping and the per-operation hooks. The
+// scheduler calls it for the operation it picks; Proc.runInline calls it
+// for an operation its lease admits.
 func (m *Machine) service(next *op) {
 	if m.recorder != nil {
 		m.record(next)

@@ -224,23 +224,8 @@ func (p *Proc) runInline(o *op) bool {
 	if m.nodes[p.id].caches.Classify(m.layout.Block(o.addr), o.kind) != cache.NoGlobal {
 		return false
 	}
-	if m.recorder != nil {
-		m.record(o)
-	}
-	if m.checker != nil {
-		// Same pre-transaction check as Machine.service (single block by
-		// the guard above). A violation panics out of the program function
-		// into its goroutine's recover, which aborts the run.
-		if err := m.checker.CheckBlock(o.addr, o.at); err != nil {
-			panic(err)
-		}
-	}
-	m.accessBlock(p, o.addr, o.size, o.kind, false, o.excl)
-	p.lastDone = p.clock
+	m.service(o)
 	m.runAheadOps++
-	if m.hooks {
-		m.afterOp(o)
-	}
 	return true
 }
 

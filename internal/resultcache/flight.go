@@ -39,9 +39,11 @@ type flightCall[V any] struct {
 // Do does not accept a context: a follower waits for its leader
 // unconditionally. Callers that bound their computations (deadlines,
 // cancellation) bound the leader's fn, which releases the followers
-// with whatever outcome the bound produced — identical keys mean
-// identical bounds, so a follower never waits longer than its own
-// computation was allowed to take.
+// with whatever outcome the leader's bound produced. Identical keys need
+// not mean identical bounds, so a follower can wait past its own
+// deadline for a leader that will succeed, and a caller whose leader
+// was cancelled while it was not decides itself whether to call Do
+// again.
 //
 // If the leader's fn panics, the panic propagates on the leader and
 // every follower panics too (with a note pointing at the shared key):

@@ -1,12 +1,18 @@
 // Package journal is the lsnumad daemon's crash-durable job log: every
 // accepted job is write-ahead-logged as one record file under a state
-// directory before it runs, transitions through queued → running →
-// done/failed with fsync'd state flips, and a restart replays whatever
-// was left incomplete. Together with the content-addressed result cache
-// (each completed sweep cell is durable by PointKey) this makes a
-// SIGKILL mid-sweep cost only the points that were literally in flight:
-// the replayed job re-reads everything already computed and finishes
-// the rest.
+// directory before it runs, moves from queued to running with fsync'd
+// state flips, and a restart replays whatever was left queued or
+// running. Together with the content-addressed result cache (each
+// completed sweep cell is durable by PointKey) this makes a SIGKILL
+// mid-sweep cost only the points that were literally in flight: the
+// replayed job re-reads everything already computed and finishes the
+// rest.
+//
+// The directory holds only live jobs. When a job finishes, done or
+// failed, its record file is removed (a finished job has nothing left
+// to replay) and the record moves to an in-memory history of the last
+// 1,024 finished jobs, which Get and List still report. So the state
+// directory and the index stay bounded however long the daemon runs.
 //
 // Records are written with the same discipline as the result cache:
 // staged in a temp file, renamed into place (atomic on POSIX), fsync'd
@@ -48,6 +54,10 @@ const (
 	// them would only fail again.
 	StateFailed State = "failed"
 )
+
+// maxFinished is how many finished records the journal keeps in memory
+// for Get and List once their files are gone.
+const maxFinished = 1024
 
 // Terminal reports whether a state is final (never replayed).
 func (s State) Terminal() bool { return s == StateDone || s == StateFailed }
@@ -102,14 +112,20 @@ type Journal struct {
 	corrupt atomic.Uint64
 
 	mu   sync.Mutex
-	recs map[string]*Record
+	recs map[string]*Record // live records plus the finished history
+	// finished is the history's ring of IDs: once it is full, next
+	// points at the oldest, which the next finished job evicts.
+	finished [maxFinished]string
+	next     int
 }
 
 // Open loads (creating if needed) the journal under dir. Corrupt or
 // foreign record files are skipped with a warning through warnf (nil =
 // silent) and counted (CorruptRecords); leftover temp files from a
 // crashed writer are removed silently — an unrenamed temp file is a
-// write that never happened.
+// write that never happened. Done and failed records, which older
+// daemons kept on disk, are removed: the opened journal holds only live
+// jobs, and its finished history starts empty.
 func Open(dir string, warnf func(format string, args ...any)) (*Journal, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("journal: empty state directory")
@@ -126,6 +142,7 @@ func Open(dir string, warnf func(format string, args ...any)) (*Journal, error) 
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
+	removed := false
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() {
@@ -146,7 +163,17 @@ func Open(dir string, warnf func(format string, args ...any)) (*Journal, error) 
 			warnf("journal: skipping record %s: file name does not match job id %q", name, rec.ID)
 			continue
 		}
+		if rec.State.Terminal() {
+			if err := os.Remove(filepath.Join(jobs, name)); err != nil {
+				warnf("journal: cannot remove finished record %s: %v", name, err)
+			}
+			removed = true
+			continue
+		}
 		j.recs[rec.ID] = rec
+	}
+	if removed {
+		syncDir(jobs)
 	}
 	return j, nil
 }
@@ -197,8 +224,12 @@ func (j *Journal) Append(rec Record) error {
 	return nil
 }
 
-// SetState flips a job's lifecycle state with an fsync'd write. Flipping
-// to running bumps Attempts; errMsg annotates failures.
+// SetState flips a live job's lifecycle state. Flipping to running bumps
+// Attempts and is an fsync'd write. Flipping to done or failed finishes
+// the job: its record file is removed, with a directory fsync, and the
+// record joins the finished history, evicting the oldest finished
+// record once the history holds 1,024. errMsg annotates failures. A
+// removal that fails is reported; the job is finished in memory anyway.
 func (j *Journal) SetState(id string, st State, errMsg string) error {
 	if !validState(st) {
 		return fmt.Errorf("journal: invalid state %q", st)
@@ -206,8 +237,8 @@ func (j *Journal) SetState(id string, st State, errMsg string) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	rec, ok := j.recs[id]
-	if !ok {
-		return fmt.Errorf("journal: unknown job %q", id)
+	if !ok || rec.State.Terminal() {
+		return fmt.Errorf("journal: no live job %q", id)
 	}
 	rec.State = st
 	rec.Updated = time.Now().UTC()
@@ -217,7 +248,19 @@ func (j *Journal) SetState(id string, st State, errMsg string) error {
 	if errMsg != "" {
 		rec.Error = errMsg
 	}
-	return j.persistLocked(rec, true)
+	if !st.Terminal() {
+		return j.persistLocked(rec, true)
+	}
+	if old := j.finished[j.next]; old != "" {
+		delete(j.recs, old)
+	}
+	j.finished[j.next] = id
+	j.next = (j.next + 1) % maxFinished
+	if err := os.Remove(filepath.Join(j.dir, id+".json")); err != nil {
+		return fmt.Errorf("journal: %w", err)
+	}
+	syncDir(j.dir)
+	return nil
 }
 
 // SetProgress advances a job's completion cursor. Regressions are
@@ -228,8 +271,8 @@ func (j *Journal) SetProgress(id string, completed int) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	rec, ok := j.recs[id]
-	if !ok {
-		return fmt.Errorf("journal: unknown job %q", id)
+	if !ok || rec.State.Terminal() {
+		return fmt.Errorf("journal: no live job %q", id)
 	}
 	if completed <= rec.Completed {
 		return nil
@@ -250,7 +293,8 @@ func (j *Journal) Get(id string) (Record, bool) {
 	return *rec, true
 }
 
-// List returns copies of every record, oldest submission first.
+// List returns copies of the live records and the finished history,
+// oldest submission first.
 func (j *Journal) List() []Record {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -278,42 +322,6 @@ func (j *Journal) Incomplete() []Record {
 		}
 	}
 	return out
-}
-
-// Compact rewrites the state directory dropping terminal records: done
-// and failed jobs are removed from disk and from the in-memory index,
-// so a long-lived daemon's jobs/ directory holds only work that a
-// restart could still replay. Returns how many records were dropped.
-// Call at quiescent points — clean shutdown, or startup once the replay
-// set has been collected; incomplete records are never touched. A
-// record whose file cannot be removed stays indexed (it would reappear
-// on the next startup anyway) and reports the first such error.
-func (j *Journal) Compact() (int, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	n := 0
-	var firstErr error
-	for id, rec := range j.recs {
-		if !rec.State.Terminal() {
-			continue
-		}
-		if err := os.Remove(filepath.Join(j.dir, id+".json")); err != nil && !os.IsNotExist(err) {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("journal: compact %s: %w", id, err)
-			}
-			continue
-		}
-		delete(j.recs, id)
-		n++
-	}
-	if n > 0 {
-		// Best-effort directory fsync so the removals are durable.
-		if d, err := os.Open(j.dir); err == nil {
-			d.Sync()
-			d.Close()
-		}
-	}
-	return n, firstErr
 }
 
 // persistLocked writes rec to its record file: staged in a temp file
@@ -351,11 +359,16 @@ func (j *Journal) persistLocked(rec *Record, sync bool) error {
 		return fmt.Errorf("journal: %w", err)
 	}
 	if sync {
-		// Best-effort directory fsync so the rename itself is durable.
-		if d, err := os.Open(j.dir); err == nil {
-			d.Sync()
-			d.Close()
-		}
+		syncDir(j.dir) // so the rename itself is durable
 	}
 	return nil
+}
+
+// syncDir fsyncs a directory, best effort, so the renames and removals
+// in it are durable.
+func syncDir(dir string) {
+	if d, err := os.Open(dir); err == nil {
+		d.Sync()
+		d.Close()
+	}
 }

@@ -4,14 +4,16 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 )
 
 // TestJournalRoundTrip: append → state flips → progress survive a
-// close/reopen cycle, and the replay set is exactly the non-terminal
-// records in submission order.
+// close/reopen cycle, the finished jobs are reported until then but do
+// not survive it, and the replay set is exactly the live records in
+// submission order.
 func TestJournalRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	j, err := Open(dir, t.Logf)
@@ -56,7 +58,13 @@ func TestJournalRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Reopen: the on-disk records are the source of truth.
+	fail, _ := j.Get("job-3")
+	if fail.State != StateFailed || fail.Error != "2 of 12 points failed" {
+		t.Fatalf("job-3 = %+v, want failed with error message", fail)
+	}
+
+	// Reopen: the on-disk records are the source of truth, and only the
+	// live jobs have one.
 	j2, err := Open(dir, t.Logf)
 	if err != nil {
 		t.Fatal(err)
@@ -64,8 +72,8 @@ func TestJournalRoundTrip(t *testing.T) {
 	if n := j2.CorruptRecords(); n != 0 {
 		t.Fatalf("CorruptRecords = %d, want 0", n)
 	}
-	if got := len(j2.List()); got != 4 {
-		t.Fatalf("List = %d records, want 4", got)
+	if got := len(j2.List()); got != 2 {
+		t.Fatalf("List = %d records, want the 2 live ones", got)
 	}
 	rec, ok := j2.Get("job-1")
 	if !ok {
@@ -77,11 +85,6 @@ func TestJournalRoundTrip(t *testing.T) {
 	if rec.Tenant != "t1" || rec.Points != 12 || string(rec.Request) != `{"workload":"counter"}` {
 		t.Fatalf("job-1 payload lost: %+v", rec)
 	}
-	fail, _ := j2.Get("job-3")
-	if fail.State != StateFailed || fail.Error != "2 of 12 points failed" {
-		t.Fatalf("job-3 = %+v, want failed with error message", fail)
-	}
-
 	inc := j2.Incomplete()
 	if len(inc) != 2 || inc[0].ID != "job-1" || inc[1].ID != "job-2" {
 		ids := make([]string, len(inc))
@@ -188,63 +191,122 @@ func TestJournalRejectsBadIDs(t *testing.T) {
 	}
 }
 
-// TestJournalCompact: compaction drops exactly the terminal records —
-// from disk and from the index — and a reopen sees only the survivors.
-func TestJournalCompact(t *testing.T) {
+// TestFinishedJobsLeaveTheDisk: a finished job's record file goes when
+// the job finishes, and the journal reports only the live jobs plus the
+// last 1,024 finished ones, so neither the state directory nor the index
+// grows with the jobs a long-running daemon serves. A reopened journal
+// holds only the live jobs, even beside finished records an older daemon
+// left.
+func TestFinishedJobsLeaveTheDisk(t *testing.T) {
+	const (
+		finished = 1024 + 6
+		live     = 3
+	)
 	dir := t.TempDir()
 	j, err := Open(dir, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, st := range []State{StateDone, StateRunning, StateQueued, StateFailed} {
-		id := fmt.Sprintf("job-%d", i)
-		if err := j.Append(Record{ID: id, Endpoint: "point", Request: []byte(`{}`)}); err != nil {
+	base := time.Now().UTC().Add(-time.Hour)
+	id := func(i int) string { return fmt.Sprintf("job-%04d", i) }
+	for i := 0; i < finished+live; i++ {
+		rec := Record{ID: id(i), Endpoint: "point", Request: []byte(`{}`), Points: 1,
+			Submitted: base.Add(time.Duration(i) * time.Millisecond)}
+		if err := j.Append(rec); err != nil {
 			t.Fatal(err)
 		}
-		if st == StateQueued {
-			continue
+		if i == finished {
+			continue // the first live job stays queued
 		}
-		if err := j.SetState(id, StateRunning, ""); err != nil {
+		if err := j.SetState(id(i), StateRunning, ""); err != nil {
 			t.Fatal(err)
 		}
-		if st == StateRunning {
-			continue
+		if i > finished {
+			continue // the other live jobs stay running
 		}
-		if err := j.SetState(id, st, ""); err != nil {
+		state, msg := StateDone, ""
+		if i%2 == 1 {
+			state, msg = StateFailed, "1 of 1 points failed"
+		}
+		if err := j.SetState(id(i), state, msg); err != nil {
 			t.Fatal(err)
 		}
 	}
+	wantLive := []string{id(finished), id(finished + 1), id(finished + 2)}
 
-	n, err := j.Compact()
-	if err != nil {
-		t.Fatalf("Compact: %v", err)
-	}
-	if n != 2 {
-		t.Fatalf("Compact = %d, want 2 (done + failed)", n)
-	}
-	if got := len(j.List()); got != 2 {
-		t.Fatalf("List after compact = %d records, want 2", got)
-	}
-	for _, id := range []string{"job-0", "job-3"} {
-		if _, ok := j.Get(id); ok {
-			t.Fatalf("%s still indexed after compaction", id)
+	// The state directory holds exactly the live records.
+	jobFiles := func() []string {
+		entries, err := os.ReadDir(filepath.Join(dir, "jobs"))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if _, err := os.Stat(filepath.Join(dir, "jobs", id+".json")); !os.IsNotExist(err) {
-			t.Fatalf("%s record file survived compaction (err=%v)", id, err)
+		var files []string
+		for _, e := range entries {
+			files = append(files, e.Name())
+		}
+		return files
+	}
+	wantFiles := []string{wantLive[0] + ".json", wantLive[1] + ".json", wantLive[2] + ".json"}
+	if files := jobFiles(); !slices.Equal(files, wantFiles) {
+		t.Fatalf("jobs/ holds %d files (%v ...), want only the live %v", len(files), files[:min(3, len(files))], wantFiles)
+	}
+
+	// List and Get report the live jobs plus the last 1,024 finished.
+	var want []string
+	for i := finished - 1024; i < finished+live; i++ {
+		want = append(want, id(i))
+	}
+	var got []string
+	for _, rec := range j.List() {
+		got = append(got, rec.ID)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("List = %d records from %s, want %d from %s", len(got), got[0], len(want), want[0])
+	}
+	for i := finished - 1024; i < finished; i++ {
+		rec, ok := j.Get(id(i))
+		wantState, wantErr := StateDone, ""
+		if i%2 == 1 {
+			wantState, wantErr = StateFailed, "1 of 1 points failed"
+		}
+		if !ok || rec.State != wantState || rec.Error != wantErr || rec.Attempts != 1 {
+			t.Fatalf("Get(%s) = %+v, %v; want %s %q", id(i), rec, ok, wantState, wantErr)
 		}
 	}
-
-	// Idempotent: nothing terminal remains.
-	if n, err := j.Compact(); err != nil || n != 0 {
-		t.Fatalf("second Compact = (%d, %v), want (0, nil)", n, err)
+	// The oldest finished jobs are no longer reported.
+	for i := 0; i < finished-1024; i++ {
+		if rec, ok := j.Get(id(i)); ok {
+			t.Fatalf("evicted job still reported: %+v", rec)
+		}
+	}
+	// A finished job takes no further writes.
+	if err := j.SetProgress(id(finished-1), 1); err == nil {
+		t.Error("SetProgress on a finished job accepted, want error")
+	}
+	if err := j.SetState(id(finished-1), StateRunning, ""); err == nil {
+		t.Error("SetState on a finished job accepted, want error")
 	}
 
-	// The incomplete records are untouched and still replayable.
+	// A reopened journal lists only the live jobs, in their states, and
+	// removes the done and failed records an older daemon kept on disk.
+	for _, st := range []State{StateDone, StateFailed} {
+		old := fmt.Sprintf(`{"id":"old-%s","endpoint":"point","request":{},"state":"%s","submitted":"2026-01-01T00:00:00Z","updated":"2026-01-01T00:00:00Z"}`, st, st)
+		if err := os.WriteFile(filepath.Join(dir, "jobs", "old-"+string(st)+".json"), []byte(old), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	j2, err := Open(dir, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(j2.Incomplete()); got != 2 {
-		t.Fatalf("Incomplete after reopen = %d, want 2", got)
+	got = got[:0]
+	for _, rec := range j2.List() {
+		got = append(got, rec.ID+":"+string(rec.State))
+	}
+	if want := []string{wantLive[0] + ":queued", wantLive[1] + ":running", wantLive[2] + ":running"}; !slices.Equal(got, want) {
+		t.Fatalf("reopened List = %v, want %v", got, want)
+	}
+	if files := jobFiles(); !slices.Equal(files, wantFiles) {
+		t.Fatalf("jobs/ after reopen = %v, want only the live %v", files, wantFiles)
 	}
 }

@@ -76,9 +76,8 @@ type Metrics struct {
 	Retries atomic.Uint64
 
 	// Durability counters (journal-backed daemons only).
-	Recovered        atomic.Uint64 // journaled jobs replayed at startup
-	JournalCorrupt   atomic.Uint64 // corrupt journal records skipped at startup
-	JournalCompacted atomic.Uint64 // terminal journal records dropped by compaction
+	Recovered      atomic.Uint64 // journaled jobs replayed at startup
+	JournalCorrupt atomic.Uint64 // corrupt journal records skipped at startup
 
 	// jobDurEWMAms is an exponentially-weighted moving average of job
 	// wall time, feeding the Retry-After estimate on 429s. retrySeed is
@@ -240,7 +239,6 @@ func (m *Metrics) write(w io.Writer, g gauges) {
 
 	counter("lsnumad_jobs_recovered_total", "journaled jobs replayed after a restart", m.Recovered.Load())
 	counter("lsnumad_journal_corrupt_records_total", "corrupt journal records skipped at startup", m.JournalCorrupt.Load())
-	counter("lsnumad_journal_compacted_records_total", "completed journal records dropped by compaction", m.JournalCompacted.Load())
 
 	// Per-tenant series: HELP/TYPE once per family, then one sample per
 	// tenant in sorted order (deterministic output for tests and diffs).

@@ -47,16 +47,12 @@ type Config struct {
 	// Each job runs its points on its own RunAll pool, so total
 	// simulation parallelism is roughly MaxJobs * Parallelism.
 	MaxJobs int
-	// QueueDepth bounds the number of jobs allowed to wait for an
-	// execution slot (default 8). Arrivals beyond it are NACKed with
-	// 429 and a Retry-After estimate. With fair queueing this is the
-	// default bucket's cap, so anonymous deployments keep exactly the
-	// old single-FIFO behavior; see TenantQueueDepth for named tenants.
+	// QueueDepth bounds each tenant's queue of jobs waiting for an
+	// execution slot (default 8), the anonymous clients' default bucket
+	// included, so all tenants together can queue maxTenants ×
+	// QueueDepth jobs. Arrivals beyond a tenant's cap are NACKed with
+	// 429 and a Retry-After estimate without affecting other tenants.
 	QueueDepth int
-	// TenantQueueDepth bounds each named tenant's queue (default
-	// QueueDepth). Arrivals beyond a tenant's cap are NACKed with 429
-	// without affecting other tenants.
-	TenantQueueDepth int
 	// Quantum is the deficit-round-robin quantum in points (default 8):
 	// how much job cost each tenant with queued work earns per
 	// scheduling round. One sweep cell's worth (len(Protocols())) or
@@ -123,9 +119,6 @@ func New(cfg Config) *Server {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 8
 	}
-	if cfg.TenantQueueDepth <= 0 {
-		cfg.TenantQueueDepth = cfg.QueueDepth
-	}
 	if cfg.Quantum <= 0 {
 		cfg.Quantum = 8
 	}
@@ -143,7 +136,7 @@ func New(cfg Config) *Server {
 		cfg:      cfg,
 		metrics:  newMetrics(cfg.RetrySeed),
 		mux:      http.NewServeMux(),
-		fq:       newFairQueue(cfg.MaxJobs, cfg.Quantum, cfg.TenantQueueDepth, cfg.TenantQuanta),
+		fq:       newFairQueue(cfg.MaxJobs, cfg.Quantum, cfg.QueueDepth, cfg.TenantQuanta),
 		drainCh:  make(chan struct{}),
 		jobsCtx:  ctx,
 		stopJobs: cancel,
@@ -191,10 +184,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	defer tick.Stop()
 	for {
 		if s.fq.queueDepth() == 0 && s.inflight.Load() == 0 {
-			// Clean shutdown: every in-flight job has journaled its
-			// terminal state, so this is a quiescent point to drop the
-			// completed records from the state directory.
-			s.compactJournal()
 			return nil
 		}
 		select {
@@ -377,23 +366,27 @@ func (s *Server) cursorHook(jobID string, inner func(int, lsnuma.PointResult)) f
 	}
 }
 
-// isolate wraps a job handler so a panic becomes a structured 500 (or a
-// trailing NDJSON error record when the stream is already open) instead
-// of killing the daemon.
+// isolate wraps a job handler so a panic becomes a structured 500
+// instead of killing the daemon. On an NDJSON stream that is already
+// open, whose status has gone out, the panic ends the stream with a
+// "done" trailer naming it, so every line stays a record.
 func (s *Server) isolate(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
-			if rec := recover(); rec != nil {
-				s.metrics.Panics.Add(1)
-				// Best-effort: if nothing was written yet this sets the
-				// status; on an open stream it appends a parseable error
-				// record. Either way the client sees the failure and the
-				// daemon lives on.
-				writeJSON(w, http.StatusInternalServerError, map[string]string{
-					"error": fmt.Sprintf("internal panic: %v", rec),
-					"stack": string(debug.Stack()),
-				})
+			rec := recover()
+			if rec == nil {
+				return
 			}
+			s.metrics.Panics.Add(1)
+			msg := fmt.Sprintf("internal panic: %v", rec)
+			if w.Header().Get("Content-Type") == ndjsonType {
+				json.NewEncoder(w).Encode(StreamRecord{Type: "done", Error: msg}) //nolint:errcheck // the client may be gone
+				return
+			}
+			writeJSON(w, http.StatusInternalServerError, map[string]string{
+				"error": msg,
+				"stack": string(debug.Stack()),
+			})
 		}()
 		h(w, r)
 	}
@@ -668,8 +661,12 @@ type ndjsonWriter struct {
 	err error
 }
 
+// ndjsonType is a stream's Content-Type; isolate reads it to tell an
+// open stream.
+const ndjsonType = "application/x-ndjson"
+
 func newNDJSON(w http.ResponseWriter) *ndjsonWriter {
-	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("Content-Type", ndjsonType)
 	return &ndjsonWriter{enc: json.NewEncoder(w), rc: http.NewResponseController(w)}
 }
 
@@ -931,31 +928,10 @@ func (s *Server) Recover() int {
 		return 0
 	}
 	recs := s.cfg.Journal.Incomplete()
-	// Startup-after-replay compaction: the replay set is collected, so
-	// every terminal record left over from previous runs can go. (The
-	// replays themselves are incomplete records — Compact never touches
-	// them.)
-	s.compactJournal()
 	for _, rec := range recs {
 		go s.replay(rec)
 	}
 	return len(recs)
-}
-
-// compactJournal drops terminal records from the journal, accounting
-// them in the compaction counter. No-op without a journal.
-func (s *Server) compactJournal() {
-	if s.cfg.Journal == nil {
-		return
-	}
-	n, err := s.cfg.Journal.Compact()
-	if err != nil {
-		s.cfg.Logf("journal: %v", err)
-	}
-	if n > 0 {
-		s.metrics.JournalCompacted.Add(uint64(n))
-		s.cfg.Logf("journal: compacted %d completed record(s)", n)
-	}
 }
 
 // replay re-runs one journaled job from its canonical request JSON. An

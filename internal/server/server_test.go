@@ -111,42 +111,70 @@ func TestAdmissionControl(t *testing.T) {
 	}
 }
 
-// TestPanicIsolation: a panicking job becomes a structured 500 and the
-// daemon keeps serving.
+// TestPanicIsolation: a panicking job becomes a structured 500, or on
+// an NDJSON stream that is already open a done trailer naming the panic
+// with every line still a record, and the daemon keeps serving.
 func TestPanicIsolation(t *testing.T) {
-	srv := New(Config{MaxJobs: 2})
-	srv.cfg.RunAll = func(ctx context.Context, points []lsnuma.Point, opt lsnuma.RunOptions) ([]lsnuma.PointResult, error) {
-		panic("handler bug")
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	for _, tc := range []struct{ endpoint, body string }{
+		{"point", `{}`},
+		{"sweep", `{"sweep":"block"}`},
+	} {
+		t.Run(tc.endpoint, func(t *testing.T) {
+			srv := New(Config{MaxJobs: 2})
+			srv.cfg.RunAll = func(ctx context.Context, points []lsnuma.Point, opt lsnuma.RunOptions) ([]lsnuma.PointResult, error) {
+				panic("handler bug")
+			}
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
 
-	resp := postPoint(t, ts, `{}`)
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("panicking job status = %d, want 500", resp.StatusCode)
-	}
-	var body struct {
-		Error string `json:"error"`
-		Stack string `json:"stack"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		t.Fatalf("decode 500 body: %v", err)
-	}
-	if !strings.Contains(body.Error, "handler bug") || body.Stack == "" {
-		t.Fatalf("500 body = %+v, want panic message and stack", body)
-	}
-	if got := srv.Metrics().Panics.Load(); got != 1 {
-		t.Errorf("Panics = %d, want 1", got)
-	}
-	// Slot released despite the panic: the daemon still serves jobs.
-	h, err := http.Get(ts.URL + "/healthz")
-	if err != nil || h.StatusCode != http.StatusOK {
-		t.Fatalf("healthz after panic: status=%v err=%v", h.StatusCode, err)
-	}
-	h.Body.Close()
-	if srv.Inflight() != 0 {
-		t.Errorf("inflight = %d after panic, want 0", srv.Inflight())
+			resp, err := http.Post(ts.URL+"/api/v1/"+tc.endpoint, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if tc.endpoint == "point" {
+				if resp.StatusCode != http.StatusInternalServerError {
+					t.Fatalf("panicking job status = %d, want 500", resp.StatusCode)
+				}
+				var body struct {
+					Error string `json:"error"`
+					Stack string `json:"stack"`
+				}
+				if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+					t.Fatalf("decode 500 body: %v", err)
+				}
+				if !strings.Contains(body.Error, "handler bug") || body.Stack == "" {
+					t.Fatalf("500 body = %+v, want panic message and stack", body)
+				}
+			} else {
+				var last StreamRecord
+				sc := bufio.NewScanner(resp.Body)
+				for sc.Scan() {
+					last = StreamRecord{}
+					if err := json.Unmarshal(sc.Bytes(), &last); err != nil || last.Type == "" {
+						t.Fatalf("stream line %q is not a record: %v", sc.Text(), err)
+					}
+				}
+				if err := sc.Err(); err != nil {
+					t.Fatal(err)
+				}
+				if last.Type != "done" || !strings.Contains(last.Error, "handler bug") {
+					t.Fatalf("last stream record = %+v, want a done trailer naming the panic", last)
+				}
+			}
+			if got := srv.Metrics().Panics.Load(); got != 1 {
+				t.Errorf("Panics = %d, want 1", got)
+			}
+			// Slot released despite the panic: the daemon still serves jobs.
+			h, err := http.Get(ts.URL + "/healthz")
+			if err != nil || h.StatusCode != http.StatusOK {
+				t.Fatalf("healthz after panic: status=%v err=%v", h.StatusCode, err)
+			}
+			h.Body.Close()
+			if srv.Inflight() != 0 {
+				t.Errorf("inflight = %d after panic, want 0", srv.Inflight())
+			}
+		})
 	}
 }
 

@@ -1,7 +1,9 @@
 package lsnuma
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"strconv"
 	"sync/atomic"
 
@@ -211,10 +213,15 @@ type pointOutcome struct {
 // A nil cache, an uncacheable point (fault injection) or an unhashable
 // config computes directly with no dedup.
 //
-// A follower waits for its leader without observing its own context;
-// identical points carry identical deadlines, so the wait is bounded by
-// the same budget the follower's own computation would have had.
-func (rc *ResultCache) do(pt Point, compute func() (*Result, *ReproBundle, error)) (res *Result, bundle *ReproBundle, cached, deduped bool, err error) {
+// ctx is the point's context, which compute runs under. Identical points
+// need not carry identical deadlines: a request's point timeout and a
+// client's disconnect are not part of the key. So a follower whose
+// shared outcome failed with the leader's cancellation or deadline,
+// while ctx is still live, goes through the flight again, leading a
+// fresh computation or joining one. A follower waits for its leader
+// without observing ctx, so it can wait past its own deadline for a
+// leader that will succeed.
+func (rc *ResultCache) do(ctx context.Context, pt Point, compute func() (*Result, *ReproBundle, error)) (res *Result, bundle *ReproBundle, cached, deduped bool, err error) {
 	if rc == nil {
 		res, bundle, err = compute()
 		return
@@ -230,18 +237,24 @@ func (rc *ResultCache) do(pt Point, compute func() (*Result, *ReproBundle, error
 		res, bundle, err = compute()
 		return
 	}
-	o, deduped := rc.flight.Do(key, func() pointOutcome {
-		if res, ok := rc.get(key); ok {
-			return pointOutcome{res: res, cached: true}
+	for {
+		o, deduped := rc.flight.Do(key, func() pointOutcome {
+			if res, ok := rc.get(key); ok {
+				return pointOutcome{res: res, cached: true}
+			}
+			res, bundle, err := compute()
+			if err == nil {
+				rc.put(key, res)
+			}
+			return pointOutcome{res: res, bundle: bundle, err: err}
+		})
+		if deduped && ctx.Err() == nil &&
+			(errors.Is(o.err, context.Canceled) || errors.Is(o.err, context.DeadlineExceeded)) {
+			continue // the leader's own context ended it, not ours
 		}
-		res, bundle, err := compute()
-		if err == nil {
-			rc.put(key, res)
+		if deduped {
+			rc.dedups.Add(1)
 		}
-		return pointOutcome{res: res, bundle: bundle, err: err}
-	})
-	if deduped {
-		rc.dedups.Add(1)
+		return o.res, o.bundle, o.cached, deduped, o.err
 	}
-	return o.res, o.bundle, o.cached, deduped, o.err
 }

@@ -198,7 +198,7 @@ func RunAll(ctx context.Context, points []Point, opt RunOptions) ([]PointResult,
 		out[i].Point = points[i]
 	}
 	errs, err := runner.RunEach(ctx, len(points), opt.Parallelism, opt.PointTimeout, func(ctx context.Context, i int) error {
-		res, bundle, cached, deduped, err := opt.Cache.do(points[i], func() (*Result, *ReproBundle, error) {
+		res, bundle, cached, deduped, err := opt.Cache.do(ctx, points[i], func() (*Result, *ReproBundle, error) {
 			return runPointDiag(ctx, points[i])
 		})
 		out[i].Result = res

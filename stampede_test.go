@@ -10,6 +10,8 @@ package lsnuma
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -62,7 +64,7 @@ func TestCacheStampedeSingleCompute(t *testing.T) {
 				wg.Add(1)
 				go func(i int) {
 					defer wg.Done()
-					results[i], _, _, deduped[i], errs[i] = rc.do(pt, compute)
+					results[i], _, _, deduped[i], errs[i] = rc.do(context.Background(), pt, compute)
 				}(i)
 			}
 			<-arrived
@@ -90,6 +92,112 @@ func TestCacheStampedeSingleCompute(t *testing.T) {
 			}
 			if s := rc.Stats(); s.Dedups != n-1 || s.Errors != 0 {
 				t.Fatalf("stats = %+v, want %d dedups and no errors", s, n-1)
+			}
+		})
+	}
+}
+
+// TestCacheStampedeLeaderCancelled: when the leader's own context ends
+// its computation (a client disconnect, or a request's lower point
+// deadline, neither of which is part of the key), a follower whose own
+// context is live does not inherit that error. The followers go through
+// the flight again and all end with the Result of exactly one further
+// compute; a follower whose own context is already done reports the
+// error.
+func TestCacheStampedeLeaderCancelled(t *testing.T) {
+	for _, cause := range []error{context.Canceled, context.DeadlineExceeded} {
+		t.Run(cause.Error(), func(t *testing.T) {
+			rc := NewDedupCache()
+			pt := cachePoints()[0]
+			const n = 8
+			var (
+				computes atomic.Int64
+				arrived  = make(chan struct{})
+				release  = make(chan struct{})
+				rerun    = make(chan struct{})
+				again    = make(chan struct{})
+				once     sync.Once
+			)
+			leader := func() (*Result, *ReproBundle, error) {
+				close(arrived)
+				<-release
+				return nil, &ReproBundle{}, fmt.Errorf("engine: run cancelled: %w", cause)
+			}
+			// compute is the followers' own: whichever of them leads the
+			// second flight runs it and holds it open until the rest have
+			// joined.
+			compute := func() (*Result, *ReproBundle, error) {
+				computes.Add(1)
+				once.Do(func() { close(rerun) })
+				<-again
+				return &Result{Workload: pt.Workload, Protocol: string(pt.Config.Protocol)}, nil, nil
+			}
+
+			leaderErr := make(chan error, 1)
+			go func() {
+				_, _, _, _, err := rc.do(context.Background(), pt, leader)
+				leaderErr <- err
+			}()
+			<-arrived
+
+			var (
+				wg      sync.WaitGroup
+				results [n]*Result
+				deduped [n]bool
+				errs    [n]error
+			)
+			done, cancel := context.WithCancel(context.Background())
+			cancel()
+			for i := 0; i <= n; i++ {
+				ctx := context.Background()
+				if i == n {
+					ctx = done // the one follower whose own context is over
+				}
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					res, _, _, dd, err := rc.do(ctx, pt, compute)
+					if i == n {
+						if !errors.Is(err, cause) || res != nil {
+							t.Errorf("follower with a finished context = (%v, %v), want the leader's %v", res, err, cause)
+						}
+						return
+					}
+					results[i], deduped[i], errs[i] = res, dd, err
+				}(i)
+			}
+			time.Sleep(stampedeSettle)
+			close(release)
+			if err := <-leaderErr; !errors.Is(err, cause) {
+				t.Fatalf("leader = %v, want its own %v", err, cause)
+			}
+			finished := make(chan struct{})
+			go func() { wg.Wait(); close(finished) }()
+			select {
+			case <-rerun:
+				time.Sleep(stampedeSettle)
+				close(again)
+				<-finished
+			case <-finished: // every follower gave up without a further compute
+			}
+
+			if got := computes.Load(); got != 1 {
+				t.Fatalf("further computes = %d, want exactly 1", got)
+			}
+			led := 0
+			for i := 0; i < n; i++ {
+				if errs[i] != nil {
+					t.Fatalf("follower %d inherited the leader's error: %v", i, errs[i])
+				}
+				if results[i] == nil || results[i].Workload != pt.Workload {
+					t.Fatalf("follower %d got %+v, want the further compute's Result", i, results[i])
+				}
+				if !deduped[i] {
+					led++
+				}
+			}
+			if led != 1 {
+				t.Fatalf("%d followers led the further compute, want 1", led)
 			}
 		})
 	}
