@@ -13,8 +13,8 @@ import (
 
 // TestCLISurface builds the five binaries and pins their command-line
 // surface: each -h lists exactly the flags below, and a bad machine-flag
-// value fails before any simulation, with a non-zero exit, nothing on
-// stdout and a single line on stderr.
+// value or an unknown artifact fails before any simulation, with a
+// non-zero exit, nothing on stdout and a single line on stderr.
 func TestCLISurface(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the binaries; skipped in -short")
@@ -58,6 +58,7 @@ func TestCLISurface(t *testing.T) {
 
 	bad := [][]string{
 		{"lsreport", "-all", "-dirformat", "limited:0"},
+		{"lsreport", "-fig", "3", "-table", "9"},
 		{"lssweep", "-retry", "max:banana"},
 		{"lssim", "-check", "extreme"},
 	}

@@ -2,10 +2,15 @@
 // behaviour figures (3, 4, 6, 7), the invalidation-traffic figure (5) and
 // Tables 2-4, plus the Section 5.5 ablations.
 //
-// Independent simulation points (the protocols of a comparison, the grid
-// points of a table, the ablation variants) run concurrently on a bounded
-// worker pool; -j bounds the parallelism (default: all cores) and
-// -timeout aborts points that have not started when it expires.
+// An invocation simulates each distinct point once: a first walk over
+// the requested artifacts collects their points, which run as one batch
+// on a bounded worker pool, and a second walk prints the artifacts from
+// the batch's Results, so nothing is printed until the batch is done.
+// Tables 2 and 3 reuse Figure 7's points, Figure 5's 4-processor column
+// is Figure 4, and three ablations are Figure 3 and 7 points: -all
+// simulates 29 points for its 39 uses. -j bounds the parallelism
+// (default: all cores) and -timeout aborts points that have not started
+// when it expires.
 //
 // Usage:
 //
@@ -18,9 +23,9 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"lsnuma"
@@ -64,6 +69,33 @@ func main() {
 		fatal(err)
 	}
 
+	r := &reporter{flags: flags, scale: scale, index: map[lsnuma.Point]int{}}
+	artifacts := func(w io.Writer) {
+		r.out = w
+		if *all {
+			for _, f := range []int{3, 4, 5, 6, 7} {
+				r.figure(f)
+			}
+			for _, tb := range []int{2, 3, 4} {
+				r.table(tb)
+			}
+			r.ablations()
+			return
+		}
+		if *fig != 0 {
+			r.figure(*fig)
+		}
+		if *table != 0 {
+			r.table(*table)
+		}
+		if *ablations {
+			r.ablations()
+		}
+	}
+	// The first walk collects the points and prints nothing, so an
+	// unknown figure or table fails here, before anything simulates.
+	artifacts(io.Discard)
+
 	// SIGINT/SIGTERM cancel the shared run context: in-flight points
 	// abort at their next poll, the report renders with annotated holes
 	// and the process exits non-zero — graceful degradation, not a kill.
@@ -76,135 +108,115 @@ func main() {
 	}
 	stopProfiles = stopProf
 
-	r := &reporter{ctx: ctx, opts: opts, flags: flags, scale: scale}
-	if *all {
-		for _, f := range []int{3, 4, 5, 6, 7} {
-			r.figure(f)
+	// A failed point is reported on stderr once (with its diagnostic
+	// bundle), under the label of its first use, and leaves an annotated
+	// hole in every artifact that uses it. RunAll's error only joins the
+	// per-point errors reported here.
+	r.results, _ = lsnuma.RunAll(ctx, r.points, opts)
+	failed := 0
+	for _, pr := range r.results {
+		if pr.Err == nil {
+			continue
 		}
-		for _, tb := range []int{2, 3, 4} {
-			r.table(tb)
+		failed++
+		fmt.Fprintf(os.Stderr, "lsreport: %s: %v\n", pr.Label, pr.Err)
+		if b := pr.Repro; b != nil {
+			if b.Diagnosis != "" {
+				fmt.Fprintf(os.Stderr, "lsreport: %s diagnosis:\n%s\n", pr.Label, b.Diagnosis)
+			}
+			if b.Retry != "" {
+				fmt.Fprintf(os.Stderr, "lsreport: %s: %s\n", pr.Label, b.Retry)
+			}
 		}
-		r.ablations()
-		r.exit()
 	}
-	if *fig != 0 {
-		r.figure(*fig)
-	}
-	if *table != 0 {
-		r.table(*table)
-	}
-	if *ablations {
-		r.ablations()
-	}
-	r.exit()
-}
+	artifacts(os.Stdout)
 
-// reporter runs the simulation points of one invocation. Failed points
-// become annotated holes in the output and are counted in failed.
-type reporter struct {
-	ctx    context.Context
-	opts   lsnuma.RunOptions
-	flags  *cli.Flags
-	scale  lsnuma.Scale
-	failed int
-}
-
-// exit terminates the report: non-zero when any point failed, so a
-// partial report is distinguishable from a clean one.
-func (r *reporter) exit() {
 	stopProfiles()
 	// Cache traffic goes to stderr so that warm and cold invocations
 	// keep byte-identical stdout.
-	if c := r.opts.Cache; c != nil {
+	if c := opts.Cache; c != nil {
 		s := c.Stats()
 		fmt.Fprintf(os.Stderr, "lsreport: cache hits=%d misses=%d skips=%d errors=%d\n",
 			s.Hits, s.Misses, s.Skips, s.Errors)
 	}
-	if err := r.ctx.Err(); err != nil {
+	if err := ctx.Err(); err != nil {
 		fmt.Fprintf(os.Stderr, "lsreport: interrupted (%v); output above is partial with annotated holes\n", err)
 	}
-	if r.failed > 0 {
-		fmt.Fprintf(os.Stderr, "lsreport: %d simulation point(s) failed (output above is partial)\n", r.failed)
+	// A partial report exits non-zero, unlike a clean one.
+	if failed > 0 {
+		fmt.Fprintf(os.Stderr, "lsreport: %d simulation point(s) failed (output above is partial)\n", failed)
 		os.Exit(1)
 	}
-	os.Exit(0)
 }
 
-// point is one simulation point of the report, with the machine flags
-// applied to its configuration.
-func (r *reporter) point(label string, cfg lsnuma.Config, workload string) lsnuma.Point {
-	return lsnuma.Point{Label: label, Config: r.flags.Apply(cfg), Workload: workload, Scale: r.scale}
+// reporter holds the points of one invocation. Its artifact methods
+// print to out, which is io.Discard until the batch's results are in.
+type reporter struct {
+	flags  *cli.Flags
+	scale  lsnuma.Scale
+	out    io.Writer
+	points []lsnuma.Point
+	// index maps a point with its label cleared to its place in points,
+	// so a point that several artifacts use simulates once.
+	index   map[lsnuma.Point]int
+	results []lsnuma.PointResult
 }
 
-// compare runs the workload under all protocols; a failed protocol
-// leaves a hole in the map (annotated on stderr) instead of killing the
-// report.
-func (r *reporter) compare(workload string) map[lsnuma.Protocol]*lsnuma.Result {
-	results := r.runAll(lsnuma.ComparePoints(r.flags.Apply(lsnuma.WorkloadConfig(workload)), workload, r.scale))
-	out := make(map[lsnuma.Protocol]*lsnuma.Result, len(results))
-	for _, pr := range results {
-		if pr.Result != nil {
-			out[pr.Config.Protocol] = pr.Result
+// result returns the Result of workload under cfg with the machine flags
+// applied: nil while the points are being collected, and nil for a
+// failed point. label names the point on stderr if it is its first use.
+func (r *reporter) result(label string, cfg lsnuma.Config, workload string) *lsnuma.Result {
+	pt := lsnuma.Point{Config: r.flags.Apply(cfg), Workload: workload, Scale: r.scale}
+	i, ok := r.index[pt]
+	if !ok {
+		i = len(r.points)
+		r.index[pt] = i
+		pt.Label = label
+		r.points = append(r.points, pt)
+	}
+	if r.results == nil {
+		return nil
+	}
+	return r.results[i].Result
+}
+
+// compare returns workload's Results under every protocol, labeled
+// "label/protocol"; a failed protocol is missing from the map.
+func (r *reporter) compare(label string, cfg lsnuma.Config, workload string) map[lsnuma.Protocol]*lsnuma.Result {
+	out := map[lsnuma.Protocol]*lsnuma.Result{}
+	for _, p := range lsnuma.Protocols() {
+		cfg.Protocol = p
+		if res := r.result(fmt.Sprintf("%s/%s", label, p), cfg, workload); res != nil {
+			out[p] = res
 		}
 	}
 	return out
 }
 
-// runAll runs a set of points concurrently. Failed points are reported
-// on stderr (with their diagnostic bundle) and come back with a nil
-// Result — an annotated hole, not a dead report.
-func (r *reporter) runAll(points []lsnuma.Point) []lsnuma.PointResult {
-	results, err := lsnuma.RunAll(r.ctx, points, r.opts)
-	if err != nil {
-		for _, pr := range results {
-			if pr.Err == nil {
-				continue
-			}
-			r.failed++
-			fmt.Fprintf(os.Stderr, "lsreport: %s: %v\n", pr.Label, pr.Err)
-			if b := pr.Repro; b != nil {
-				if b.Diagnosis != "" {
-					fmt.Fprintf(os.Stderr, "lsreport: %s diagnosis:\n%s\n", pr.Label, b.Diagnosis)
-				}
-				if b.Retry != "" {
-					fmt.Fprintf(os.Stderr, "lsreport: %s: %s\n", pr.Label, b.Retry)
-				}
-			}
-		}
-	}
-	return results
+// behavior prints one of the behaviour figures (3, 4, 6, 7).
+func (r *reporter) behavior(title, workload string) {
+	fmt.Fprintln(r.out, report.BehaviorFigure(title, r.compare(workload, lsnuma.WorkloadConfig(workload), workload)))
 }
 
 func (r *reporter) figure(n int) {
 	switch n {
 	case 3:
-		fmt.Println(report.BehaviorFigure("Figure 3: Behavior of MP3D", r.compare("mp3d")))
+		r.behavior("Figure 3: Behavior of MP3D", "mp3d")
 	case 4:
-		fmt.Println(report.BehaviorFigure("Figure 4: Behavior of Cholesky", r.compare("cholesky")))
+		r.behavior("Figure 4: Behavior of Cholesky", "cholesky")
 	case 5:
-		// 3 node counts x 3 protocols, all concurrent.
-		var points []lsnuma.Point
 		byProcs := map[int]map[lsnuma.Protocol]*lsnuma.Result{}
 		for _, nodes := range []int{4, 16, 32} {
 			cfg := lsnuma.DefaultConfig()
 			cfg.Nodes = nodes
-			for _, pt := range lsnuma.ComparePoints(r.flags.Apply(cfg), "cholesky", r.scale) {
-				pt.Label = fmt.Sprintf("procs=%d/%s", nodes, pt.Config.Protocol)
-				points = append(points, pt)
-			}
-			byProcs[nodes] = map[lsnuma.Protocol]*lsnuma.Result{}
+			byProcs[nodes] = r.compare(fmt.Sprintf("procs=%d", nodes), cfg, "cholesky")
 		}
-		for _, pr := range r.runAll(points) {
-			if pr.Result != nil {
-				byProcs[pr.Config.Nodes][pr.Config.Protocol] = pr.Result
-			}
-		}
-		fmt.Println(report.InvalidationFigure(
+		fmt.Fprintln(r.out, report.InvalidationFigure(
 			"Figure 5: Invalidation traffic for Cholesky at 4, 16, and 32 processors", byProcs))
 	case 6:
-		fmt.Println(report.BehaviorFigure("Figure 6: Behavior of LU", r.compare("lu")))
+		r.behavior("Figure 6: Behavior of LU", "lu")
 	case 7:
-		fmt.Println(report.BehaviorFigure("Figure 7: Behavior of OLTP", r.compare("oltp")))
+		r.behavior("Figure 7: Behavior of OLTP", "oltp")
 	default:
 		fatal(fmt.Errorf("no figure %d (have 3, 4, 5, 6, 7)", n))
 	}
@@ -215,46 +227,39 @@ func (r *reporter) table(n int) {
 	case 2:
 		cfg := lsnuma.OLTPConfig()
 		cfg.Protocol = lsnuma.Baseline
-		if res := r.runAll([]lsnuma.Point{r.point("table2/oltp", cfg, "oltp")})[0].Result; res != nil {
-			fmt.Println(report.Table2(res))
+		if res := r.result("table2/oltp", cfg, "oltp"); res != nil {
+			fmt.Fprintln(r.out, report.Table2(res))
 		} else {
-			fmt.Println("Table 2: SKIPPED (simulation failed; see stderr)")
+			fmt.Fprintln(r.out, "Table 2: SKIPPED (simulation failed; see stderr)")
 		}
 	case 3:
-		res := r.compare("oltp")
+		res := r.compare("oltp", lsnuma.OLTPConfig(), "oltp")
 		if res[lsnuma.LS] == nil || res[lsnuma.AD] == nil {
-			fmt.Println("Table 3: SKIPPED (simulation failed; see stderr)")
+			fmt.Fprintln(r.out, "Table 3: SKIPPED (simulation failed; see stderr)")
 			break
 		}
-		fmt.Println(report.Table3(res[lsnuma.LS], res[lsnuma.AD]))
+		fmt.Fprintln(r.out, report.Table3(res[lsnuma.LS], res[lsnuma.AD]))
 	case 4:
-		blocks := []uint64{16, 32, 64, 128, 256}
-		var points []lsnuma.Point
-		for _, block := range blocks {
+		byBlock := map[uint64]*lsnuma.Result{}
+		for _, block := range []uint64{16, 32, 64, 128, 256} {
 			cfg := lsnuma.OLTPConfig()
 			cfg.Protocol = lsnuma.Baseline
 			cfg.BlockSize = block
 			cfg.TrackFalseSharing = true
-			points = append(points, r.point(fmt.Sprintf("block=%dB", block), cfg, "oltp"))
-		}
-		results := r.runAll(points)
-		byBlock := map[uint64]*lsnuma.Result{}
-		for i, block := range blocks {
-			if results[i].Result != nil {
-				byBlock[block] = results[i].Result
+			if res := r.result(fmt.Sprintf("block=%dB", block), cfg, "oltp"); res != nil {
+				byBlock[block] = res
 			}
 		}
-		fmt.Println(report.Table4(byBlock))
+		fmt.Fprintln(r.out, report.Table4(byBlock))
 	default:
 		fatal(fmt.Errorf("no table %d (have 2, 3, 4)", n))
 	}
 }
 
 // ablations reproduces the §5.5 variation analysis: default tagging, the
-// keep-on-write-miss de-tag heuristic, and two-step hysteresis. The
-// variants are independent simulations and run concurrently.
+// keep-on-write-miss de-tag heuristic, and two-step hysteresis.
 func (r *reporter) ablations() {
-	fmt.Println("=== §5.5 ablations (execution time / total traffic / global read misses) ===")
+	fmt.Fprintln(r.out, "=== §5.5 ablations (execution time / total traffic / global read misses) ===")
 	cases := []struct {
 		name     string
 		workload string
@@ -271,21 +276,16 @@ func (r *reporter) ablations() {
 		{"LS tag-hysteresis=2 (oltp)", "oltp", lsnuma.Variant{TagHysteresis: 2}, lsnuma.LS},
 		{"LS detag-hysteresis=2 (oltp)", "oltp", lsnuma.Variant{DetagHysteresis: 2}, lsnuma.LS},
 	}
-	points := make([]lsnuma.Point, len(cases))
-	for i, c := range cases {
+	for _, c := range cases {
 		cfg := lsnuma.WorkloadConfig(c.workload)
 		cfg.Protocol = c.protocol
 		cfg.Variant = c.variant
-		points[i] = r.point(c.name, cfg, c.workload)
-	}
-	results := r.runAll(points)
-	for i, c := range cases {
-		res := results[i].Result
+		res := r.result(c.name, cfg, c.workload)
 		if res == nil {
-			fmt.Printf("  %-32s FAILED (see stderr)\n", c.name)
+			fmt.Fprintf(r.out, "  %-32s FAILED (see stderr)\n", c.name)
 			continue
 		}
-		fmt.Printf("  %-32s exec=%-10d msgs=%-8d read-misses=%-8d eliminated=%d\n",
+		fmt.Fprintf(r.out, "  %-32s exec=%-10d msgs=%-8d read-misses=%-8d eliminated=%d\n",
 			c.name, res.ExecTime, res.Msgs, res.GlobalReadMisses(), res.EliminatedOwnership)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"sort"
 
 	"lsnuma"
+	"lsnuma/internal/classify"
 	"lsnuma/internal/cli"
 	"lsnuma/internal/prof"
 	"lsnuma/internal/report"
@@ -159,7 +160,7 @@ func printResult(r *lsnuma.Result) {
 	if distTotal > 0 {
 		fmt.Printf("    ls-seq distance:")
 		for i, v := range r.SequenceDistance {
-			fmt.Printf(" %s:%.0f%%", []string{"0", "1-3", "4-15", "16-63", "64-255", ">=256"}[i],
+			fmt.Printf(" %s:%.0f%%", classify.DistanceBuckets()[i],
 				100*float64(v)/float64(distTotal))
 		}
 		fmt.Println()

@@ -158,22 +158,6 @@ func (b Bitset) Equal(o Bitset) bool {
 	return true
 }
 
-// Only returns the single member if the set has exactly one, else NoNode.
-func (b Bitset) Only() memory.NodeID {
-	if b.Count() != 1 {
-		return memory.NoNode
-	}
-	if b.lo != 0 {
-		return memory.NodeID(bits.TrailingZeros64(b.lo))
-	}
-	for i, w := range b.ext {
-		if w != 0 {
-			return memory.NodeID((i+1)*bitsPerWord + bits.TrailingZeros64(w))
-		}
-	}
-	return memory.NoNode
-}
-
 // Other returns the single member that is not n, if the set is exactly
 // {n, other}; otherwise NoNode.
 func (b Bitset) Other(n memory.NodeID) memory.NodeID {

@@ -38,21 +38,6 @@ func TestBitsetBasics(t *testing.T) {
 	}
 }
 
-func TestBitsetOnly(t *testing.T) {
-	var b Bitset
-	if b.Only() != memory.NoNode {
-		t.Error("empty Only() != NoNode")
-	}
-	b.Add(5)
-	if b.Only() != 5 {
-		t.Errorf("Only() = %d", b.Only())
-	}
-	b.Add(9)
-	if b.Only() != memory.NoNode {
-		t.Error("two-member Only() != NoNode")
-	}
-}
-
 func TestBitsetOther(t *testing.T) {
 	var b Bitset
 	b.Add(2)
@@ -157,9 +142,6 @@ func TestBitsetBeyond64(t *testing.T) {
 	two := Of(70, 900)
 	if two.Other(70) != 900 || two.Other(900) != 70 {
 		t.Errorf("Other across high words = %d/%d", two.Other(70), two.Other(900))
-	}
-	if Of(500).Only() != 500 {
-		t.Errorf("Only high member = %d", Of(500).Only())
 	}
 }
 

@@ -305,14 +305,16 @@ func TestMigrationPingPong(t *testing.T) {
 	results := map[protocol.Kind]*Machine{}
 	for _, kind := range []protocol.Kind{protocol.Baseline, protocol.AD, protocol.LS} {
 		m := newTestMachine(t, kind, protocol.Variant{})
-		turn := NewCounter(m.Alloc(), "turn")
+		turn := m.Alloc().Alloc("turn", memory.WordSize, 0)
+		turns := 0
 		data := m.Alloc().AllocBlocks("data", 16)
-		prog := func(self int64) Program {
+		prog := func(self int) Program {
 			return func(p *Proc) {
 				for i := 0; i < rounds; i++ {
 					for {
-						p.Read(turn.Addr())
-						if turn.Load(p)%2 == self {
+						p.Read(turn) // poll, then load the value tested
+						p.Read(turn)
+						if turns%2 == self {
 							break
 						}
 						p.Compute(8)
@@ -320,7 +322,8 @@ func TestMigrationPingPong(t *testing.T) {
 					p.Read(data)  // load...
 					p.Compute(10) // ...modify...
 					p.Write(data) // ...store: a load-store sequence
-					turn.Add(p, 1)
+					p.RMW(turn)   // fetch-and-increment the turn
+					turns++
 				}
 			}
 		}
@@ -364,7 +367,8 @@ func TestMigrationPingPong(t *testing.T) {
 func TestLockMutualExclusion(t *testing.T) {
 	m := newTestMachine(t, protocol.LS, protocol.Variant{})
 	lock := NewLock(m.Alloc(), "lock")
-	shared := NewCounter(m.Alloc(), "shared")
+	shared := m.Alloc().Alloc("shared", memory.WordSize, 0)
+	count := 0
 	inCS := 0
 	violations := 0
 	const perCPU = 25
@@ -375,7 +379,8 @@ func TestLockMutualExclusion(t *testing.T) {
 			if inCS != 1 {
 				violations++
 			}
-			shared.Add(p, 1)
+			p.RMW(shared)
+			count++
 			p.Compute(50)
 			inCS--
 			lock.Release(p)
@@ -386,36 +391,11 @@ func TestLockMutualExclusion(t *testing.T) {
 	if violations != 0 {
 		t.Errorf("%d mutual-exclusion violations", violations)
 	}
-	if shared.value != 4*perCPU {
-		t.Errorf("counter = %d, want %d", shared.value, 4*perCPU)
+	if count != 4*perCPU {
+		t.Errorf("counter = %d, want %d", count, 4*perCPU)
 	}
 	if lock.Acquisitions != 4*perCPU {
 		t.Errorf("acquisitions = %d, want %d", lock.Acquisitions, 4*perCPU)
-	}
-}
-
-func TestTicketLockFairAndExclusive(t *testing.T) {
-	m := newTestMachine(t, protocol.Baseline, protocol.Variant{})
-	lock := NewTicketLock(m.Alloc(), "ticket")
-	inCS := 0
-	violations := 0
-	count := 0
-	prog := func(p *Proc) {
-		for i := 0; i < 20; i++ {
-			lock.Acquire(p)
-			inCS++
-			if inCS != 1 {
-				violations++
-			}
-			count++
-			p.Compute(30)
-			inCS--
-			lock.Release(p)
-		}
-	}
-	run(t, m, prog, prog, prog, prog)
-	if violations != 0 || count != 80 {
-		t.Errorf("violations=%d count=%d", violations, count)
 	}
 }
 
@@ -721,63 +701,5 @@ func TestRelaxedWritesRMWDrains(t *testing.T) {
 	}
 	if afterRMW < 200 {
 		t.Errorf("RMW did not drain the write buffer: clock %d", afterRMW)
-	}
-}
-
-// TestRWLockSharedAndExclusive checks the readers-writer latch: readers
-// overlap each other, writers are exclusive against everyone.
-func TestRWLockSharedAndExclusive(t *testing.T) {
-	m := newTestMachine(t, protocol.LS, protocol.Variant{})
-	latch := NewRWLock(m.Alloc(), "latch")
-	// Record the simulated-time critical-section intervals and check
-	// overlap afterwards: reader intervals may overlap each other but
-	// never a writer interval; writer intervals are pairwise disjoint.
-	type interval struct {
-		from, to uint64
-		writer   bool
-	}
-	var intervals []interval
-	value := 0
-	reader := func(p *Proc) {
-		for i := 0; i < 30; i++ {
-			latch.RLock(p)
-			from := p.Clock()
-			p.Compute(200)
-			intervals = append(intervals, interval{from, p.Clock(), false})
-			latch.RUnlock(p)
-			p.Compute(p.Rand().Intn(60))
-		}
-	}
-	writer := func(p *Proc) {
-		for i := 0; i < 20; i++ {
-			latch.Lock(p)
-			from := p.Clock()
-			value++
-			p.Compute(50)
-			intervals = append(intervals, interval{from, p.Clock(), true})
-			latch.Unlock(p)
-			p.Compute(p.Rand().Intn(300))
-		}
-	}
-	run(t, m, reader, reader, reader, writer)
-	if value != 20 {
-		t.Errorf("writer count = %d", value)
-	}
-	overlaps := func(a, b interval) bool { return a.from < b.to && b.from < a.to }
-	readerOverlap := false
-	for i := 0; i < len(intervals); i++ {
-		for j := i + 1; j < len(intervals); j++ {
-			a, b := intervals[i], intervals[j]
-			if !overlaps(a, b) {
-				continue
-			}
-			if a.writer || b.writer {
-				t.Fatalf("writer interval overlap: %+v and %+v", a, b)
-			}
-			readerOverlap = true
-		}
-	}
-	if !readerOverlap {
-		t.Error("reader critical sections never overlapped in simulated time")
 	}
 }

@@ -104,68 +104,6 @@ func (l *Lock) Holder() memory.NodeID {
 	return l.holder
 }
 
-// TicketLock is a fair FIFO lock: one word for the ticket counter, one for
-// the now-serving counter.
-type TicketLock struct {
-	ticketAddr  memory.Addr
-	servingAddr memory.Addr
-	nextTicket  uint64
-	nowServing  uint64
-}
-
-// NewTicketLock allocates the two lock words under the given region name.
-func NewTicketLock(a *memory.Allocator, name string) *TicketLock {
-	return &TicketLock{
-		ticketAddr:  a.Alloc(name, memory.WordSize, 0),
-		servingAddr: a.Alloc(name, memory.WordSize, 0),
-	}
-}
-
-// Acquire takes a ticket (fetch-and-increment: a load-store sequence) and
-// spins on the now-serving word.
-func (t *TicketLock) Acquire(p *Proc) {
-	p.RMW(t.ticketAddr)
-	my := t.nextTicket
-	t.nextTicket++
-	p.SpinRead(t.servingAddr,
-		func() bool { return t.nowServing == my },
-		func() int { return 4 })
-}
-
-// Release passes the lock to the next ticket holder.
-func (t *TicketLock) Release(p *Proc) {
-	t.nowServing++
-	p.Write(t.servingAddr)
-}
-
-// Counter is a shared fetch-and-add word.
-type Counter struct {
-	addr  memory.Addr
-	value int64
-}
-
-// NewCounter allocates a counter word.
-func NewCounter(a *memory.Allocator, name string) *Counter {
-	return &Counter{addr: a.Alloc(name, memory.WordSize, 0)}
-}
-
-// Addr returns the counter's simulated address.
-func (c *Counter) Addr() memory.Addr { return c.addr }
-
-// Add atomically adds delta (a load-store sequence) and returns the new
-// value.
-func (c *Counter) Add(p *Proc, delta int64) int64 {
-	p.RMW(c.addr)
-	c.value += delta
-	return c.value
-}
-
-// Load reads the counter.
-func (c *Counter) Load(p *Proc) int64 {
-	p.Read(c.addr)
-	return c.value
-}
-
 // Barrier is a sense-reversing centralized barrier.
 type Barrier struct {
 	countAddr  memory.Addr
@@ -203,92 +141,4 @@ func (b *Barrier) Wait(p *Proc) {
 	p.SpinRead(b.senseAddr,
 		func() bool { return b.sense == ls },
 		func() int { return 8 })
-}
-
-// RWLock is a readers-writer spin lock built from a lock word and a
-// reader-count word (the classic database latch). Reads of hot structures
-// take the shared mode; writers drain readers, producing the
-// write-to-read-shared invalidation pattern of the paper's OLTP analysis.
-type RWLock struct {
-	wordAddr    memory.Addr // writer flag word
-	readersAddr memory.Addr // reader count word
-	writer      bool
-	readers     int
-	holderW     memory.NodeID
-}
-
-// NewRWLock allocates the two latch words under the given region name.
-func NewRWLock(a *memory.Allocator, name string) *RWLock {
-	return &RWLock{
-		wordAddr:    a.Alloc(name, memory.WordSize, 0),
-		readersAddr: a.Alloc(name, memory.WordSize, 0),
-		holderW:     memory.NoNode,
-	}
-}
-
-// RLock acquires the latch in shared mode.
-func (l *RWLock) RLock(p *Proc) {
-	backoff := 4
-	for {
-		// Wait until no writer holds or wants the latch.
-		p.SpinRead(l.wordAddr,
-			func() bool { return !l.writer },
-			func() int {
-				n := backoff + p.Rand().Intn(backoff)
-				if backoff < 512 {
-					backoff *= 2
-				}
-				return n
-			})
-		// Register as a reader, then re-check the writer flag (the
-		// standard acquire-recheck dance).
-		p.RMW(l.readersAddr)
-		l.readers++
-		p.Read(l.wordAddr)
-		if !l.writer {
-			return
-		}
-		p.RMW(l.readersAddr)
-		l.readers--
-	}
-}
-
-// RUnlock releases a shared hold.
-func (l *RWLock) RUnlock(p *Proc) {
-	if l.readers <= 0 {
-		panic("engine: RUnlock without readers")
-	}
-	p.RMW(l.readersAddr)
-	l.readers--
-}
-
-// Lock acquires the latch exclusively: set the writer flag, then drain
-// the readers.
-func (l *RWLock) Lock(p *Proc) {
-	backoff := 4
-	for {
-		p.RMW(l.wordAddr)
-		if !l.writer {
-			l.writer = true
-			l.holderW = p.ID()
-			break
-		}
-		p.Compute(backoff + p.Rand().Intn(backoff))
-		if backoff < 512 {
-			backoff *= 2
-		}
-	}
-	p.SpinRead(l.readersAddr,
-		func() bool { return l.readers == 0 },
-		func() int { return 8 + p.Rand().Intn(8) })
-}
-
-// Unlock releases the exclusive hold.
-func (l *RWLock) Unlock(p *Proc) {
-	if !l.writer || l.holderW != p.ID() {
-		panic(fmt.Sprintf("engine: CPU %d unlocking RWLock held by %d", p.ID(), l.holderW))
-	}
-	l.writer = false
-	l.holderW = memory.NoNode
-	p.Write(l.wordAddr)
 }

@@ -264,11 +264,6 @@ func (a *Allocator) AllocBlocks(name string, size uint64) Addr {
 	return a.Alloc(name, size, a.layout.BlockSize)
 }
 
-// AllocPage reserves size bytes aligned to the page size.
-func (a *Allocator) AllocPage(name string, size uint64) Addr {
-	return a.Alloc(name, size, a.layout.PageSize)
-}
-
 // Used returns the total number of bytes handed out so far, including
 // alignment padding.
 func (a *Allocator) Used() uint64 { return uint64(a.next) }

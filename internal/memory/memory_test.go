@@ -171,10 +171,6 @@ func TestAllocatorBlocksAndPages(t *testing.T) {
 	if uint64(b)%64 != 0 {
 		t.Errorf("AllocBlocks base %#x not block aligned", b)
 	}
-	p := a.AllocPage("page", 10)
-	if uint64(p)%4096 != 0 {
-		t.Errorf("AllocPage base %#x not page aligned", p)
-	}
 }
 
 func TestAllocatorRegions(t *testing.T) {

@@ -25,20 +25,3 @@ func Capture(m *engine.Machine, w *Writer) (firstErr func() error) {
 	})
 	return func() error { return err }
 }
-
-// CaptureOps installs a recorder that collects operations in memory.
-func CaptureOps(m *engine.Machine) *[]Op {
-	ops := &[]Op{}
-	m.SetRecorder(func(rec engine.OpRecord) {
-		*ops = append(*ops, Op{
-			CPU:     rec.CPU,
-			Addr:    rec.Addr,
-			Size:    rec.Size,
-			Kind:    rec.Kind,
-			Source:  rec.Source,
-			RMW:     rec.RMW,
-			Compute: rec.Compute,
-		})
-	})
-	return ops
-}

@@ -226,11 +226,25 @@ func TestReplayProtocolComparison(t *testing.T) {
 		}
 	}
 	live := machine(t, protocol.Baseline)
-	ops := CaptureOps(live)
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errFn := Capture(live, w)
 	if err := live.Run([]engine.Program{prog, prog}); err != nil {
 		t.Fatal(err)
 	}
-	tr := &Trace{CPUs: 4, Ops: *ops}
+	if err := errFn(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	elim := map[protocol.Kind]uint64{}
 	for _, kind := range []protocol.Kind{protocol.Baseline, protocol.AD, protocol.LS} {

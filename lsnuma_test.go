@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"lsnuma/internal/engine"
+	"lsnuma/internal/memory"
 	"lsnuma/internal/workload/lu"
 	"lsnuma/internal/workload/oltp"
 )
@@ -477,11 +478,11 @@ func TestRelaxedWritesShrinkLSGain(t *testing.T) {
 func lockHandoffBuild(m *engine.Machine) ([]engine.Program, error) {
 	lock := engine.NewLock(m.Alloc(), "lock")
 	m.Alloc().Alloc("pad", 256, 256)
-	data := engine.NewCounter(m.Alloc(), "protected")
+	data := m.Alloc().Alloc("protected", memory.WordSize, 0)
 	prog := func(p *engine.Proc) {
 		for i := 0; i < 50; i++ {
 			lock.Acquire(p)
-			data.Add(p, 1)
+			p.RMW(data)
 			p.Compute(60)
 			lock.Release(p)
 			p.Compute(4000 + p.Rand().Intn(4000))

@@ -253,8 +253,8 @@ func Compare(cfg Config, workloadName string, scale Scale) (map[Protocol]*Result
 
 // ComparePoints returns the points of a protocol comparison: cfg under
 // every protocol, in Protocols() order, labeled "workload/protocol".
-// It is the counterpart of SweepPoints for CompareContext, lsreport's
-// figures and the lsnumad daemon's compare jobs.
+// It is the counterpart of SweepPoints for CompareContext and the lsnumad
+// daemon's compare jobs.
 func ComparePoints(cfg Config, workloadName string, scale Scale) []Point {
 	protos := Protocols()
 	points := make([]Point, len(protos))

@@ -9,8 +9,8 @@ import (
 // (the Section 5.5 variation analysis).
 type SweepParam string
 
-// The four sweep axes shared by cmd/lssweep, cmd/lsreport and the
-// benchmark harness.
+// The four sweep axes shared by cmd/lssweep, the lsnumad daemon's sweep
+// jobs and the benchmark harness.
 const (
 	SweepBlock SweepParam = "block" // block sizes 16..128 B (Table 1)
 	SweepL1    SweepParam = "l1"    // L1 sizes 4..64 kB (Table 1)
@@ -41,13 +41,14 @@ type SweepPoint struct {
 
 // SweepGrid returns the labeled configurations of the Table 1 sweep along
 // param, derived from base. This is the single definition of the grids
-// that cmd/lssweep prints, cmd/lsreport regenerates and the benchmark
+// that cmd/lssweep prints, lsnumad's sweep jobs stream and the benchmark
 // harness samples.
 func SweepGrid(param SweepParam, base Config) ([]SweepPoint, error) {
 	var points []SweepPoint
 	switch param {
 	case SweepBlock:
-		// Table 1: block sizes 16..128 (OLTP's Table 4 also uses 256).
+		// Table 1: block sizes 16..128 (lsreport's Table 4 keeps its own
+		// 16..256 B list).
 		for _, b := range []uint64{16, 32, 64, 128} {
 			cfg := base
 			cfg.BlockSize = b
