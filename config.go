@@ -84,17 +84,7 @@ type CacheConfig struct {
 }
 
 // Variant selects the Section 5.5 protocol ablations.
-type Variant struct {
-	// DefaultTagged starts every block tagged load-store/migratory.
-	DefaultTagged bool
-	// KeepOnWriteMiss keeps the LS bit on a write miss from the last
-	// reader (the alternative de-tag heuristic).
-	KeepOnWriteMiss bool
-	// TagHysteresis and DetagHysteresis gate tag flips behind two-step
-	// counters when set to 2 (0/1 = immediate).
-	TagHysteresis   int
-	DetagHysteresis int
-}
+type Variant = protocol.Variant
 
 // Config is the machine configuration (the paper's Table 1).
 type Config struct {
@@ -142,8 +132,6 @@ type Config struct {
 	// paper's Section 6 discussion: the write-stall savings of LS/AD
 	// shrink, the traffic savings remain.
 	RelaxedWrites bool
-	// MaxCycles aborts runaway runs; zero applies a generous default.
-	MaxCycles uint64
 	// Scheduler selects the discrete-event scheduler: "runahead" (or
 	// empty, the default, which services local hits inline under
 	// run-ahead leases) or "serial" (the reference: the same scheduling
@@ -170,10 +158,6 @@ type Config struct {
 	// "drop-msg@1e-3", "drop-msg@1e-3,reorder-msg@1e-4:9". Empty disables
 	// injection. Never set this for real measurements.
 	Faults string
-	// RecordOps keeps a ring buffer of the last RecordOps memory
-	// operations for crash diagnostics (surfaced in ReproBundle.LastOps).
-	// Zero disables the ring.
-	RecordOps int
 	// DirMSHRs bounds the number of concurrent transactions each home
 	// node's directory controller can buffer: a request arriving while
 	// every buffer is busy is NACKed and retried under Retry. Zero means
@@ -186,12 +170,6 @@ type Config struct {
 	// Empty disables retries — any NACK or message loss then trips the
 	// forward-progress watchdog instead of hanging.
 	Retry string
-	// ProgressWindow is the forward-progress watchdog's stall budget in
-	// cycles (zero = the engine default, 4,000,000): a transaction stuck
-	// in NACK/loss recovery longer than this fails the run with a
-	// structured starvation error naming the stuck block, its requester
-	// set, and the retry histogram.
-	ProgressWindow uint64
 }
 
 // DefaultConfig returns the paper's baseline configuration for the
@@ -228,6 +206,10 @@ func WorkloadConfig(workload string) Config {
 	return DefaultConfig()
 }
 
+// maxCycles is every run's livelock guard (engine.Config.MaxCycles): a
+// processor whose clock passes it aborts the run.
+const maxCycles = 100_000_000_000
+
 // engineConfig lowers the public Config to the engine's configuration.
 func (c Config) engineConfig() (engine.Config, error) {
 	name := string(c.Protocol)
@@ -261,10 +243,6 @@ func (c Config) engineConfig() (engine.Config, error) {
 	if err != nil {
 		return engine.Config{}, fmt.Errorf("lsnuma: %w", err)
 	}
-	maxCycles := c.MaxCycles
-	if maxCycles == 0 {
-		maxCycles = 100_000_000_000
-	}
 	level, err := check.ParseLevel(string(c.Check))
 	if err != nil {
 		return engine.Config{}, fmt.Errorf("lsnuma: %w", err)
@@ -291,14 +269,9 @@ func (c Config) engineConfig() (engine.Config, error) {
 			Size: c.L2.Size, Assoc: c.L2.Assoc,
 			BlockSize: c.BlockSize, AccessTime: c.L2.AccessTime,
 		},
-		PageSize: c.PageSize,
-		Timing:   timing,
-		Protocol: protocol.New(kind, protocol.Variant{
-			DefaultTagged:   c.Variant.DefaultTagged,
-			KeepOnWriteMiss: c.Variant.KeepOnWriteMiss,
-			TagHysteresis:   c.Variant.TagHysteresis,
-			DetagHysteresis: c.Variant.DetagHysteresis,
-		}),
+		PageSize:          c.PageSize,
+		Timing:            timing,
+		Protocol:          protocol.New(kind, c.Variant),
 		TrackFalseSharing: c.TrackFalseSharing,
 		SoftwareExclusive: softwareExclusive,
 		RelaxedWrites:     c.RelaxedWrites,
@@ -307,10 +280,8 @@ func (c Config) engineConfig() (engine.Config, error) {
 		CheckLevel:        level,
 		CheckInterval:     c.CheckInterval,
 		FaultInjector:     injector,
-		RecordOps:         c.RecordOps,
 		DirMSHRs:          c.DirMSHRs,
 		Retry:             retry,
-		ProgressWindow:    c.ProgressWindow,
 		MsgFaults:         msgFaults,
 		DirFormat:         dirFormat,
 	}, nil
@@ -334,10 +305,5 @@ func (c Config) ProtocolName() string {
 	if err != nil {
 		return string(c.Protocol)
 	}
-	return protocol.New(kind, protocol.Variant{
-		DefaultTagged:   c.Variant.DefaultTagged,
-		KeepOnWriteMiss: c.Variant.KeepOnWriteMiss,
-		TagHysteresis:   c.Variant.TagHysteresis,
-		DetagHysteresis: c.Variant.DetagHysteresis,
-	}).Name()
+	return protocol.New(kind, c.Variant).Name()
 }

@@ -208,7 +208,7 @@ func TestDifferentialCapture(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				wl, err := registry.New(w, ScaleTest, cfg.Nodes)
+				wl, err := NewWorkload(w, ScaleTest, cfg.Nodes)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -91,36 +91,6 @@ func TestViolationAbortNoGoroutineLeak(t *testing.T) {
 	}
 }
 
-// TestOpRing: with RecordOps set, LastOps returns the most recent
-// operations in service order, capped at the ring size.
-func TestOpRing(t *testing.T) {
-	cfg := testConfig(protocol.Baseline, protocol.Variant{})
-	cfg.RecordOps = 4
-	m, err := NewMachine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Run([]Program{func(p *Proc) {
-		for i := 0; i < 10; i++ {
-			p.Read(memoryAddr(i))
-		}
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	ops := m.LastOps()
-	if len(ops) != 4 {
-		t.Fatalf("LastOps returned %d entries, want 4", len(ops))
-	}
-	for i := 1; i < len(ops); i++ {
-		if ops[i].At < ops[i-1].At {
-			t.Errorf("ring out of order: %+v before %+v", ops[i-1], ops[i])
-		}
-	}
-	if ops[len(ops)-1].Addr != memoryAddr(9) {
-		t.Errorf("last op addr = %#x, want %#x", ops[len(ops)-1].Addr, memoryAddr(9))
-	}
-}
-
 // TestPanicErrorStack: a program panic must surface as a *PanicError
 // carrying the goroutine stack of the panicking program.
 func TestPanicErrorStack(t *testing.T) {

@@ -164,10 +164,6 @@ type Config struct {
 	// mid-run (internal/fault) to prove the online checker detects real
 	// corruption. Never set it for normal simulations.
 	FaultInjector *fault.Injector
-	// RecordOps keeps a ring buffer of the last RecordOps serviced
-	// operations for crash diagnostics (Machine.LastOps). Zero disables
-	// the ring.
-	RecordOps int
 	// DirMSHRs bounds the number of concurrent transactions each home
 	// node's directory controller can buffer; a request that finds every
 	// buffer busy is NACKed and retried under Retry. Zero means unlimited

@@ -70,7 +70,7 @@ type Machine struct {
 
 	recorder func(OpRecord)
 
-	// Robustness state (Config.CheckLevel / FaultInjector / RecordOps).
+	// Robustness state (Config.CheckLevel / FaultInjector / Cancel).
 	// hooks gates the whole per-operation robustness path with a single
 	// comparison, so a machine with everything off pays nothing. servicing
 	// is the operation popServe is servicing: on an abort its processor is
@@ -79,9 +79,6 @@ type Machine struct {
 	checker    *check.Checker
 	checkEvery uint64
 	faults     *fault.Injector
-	ring       []OpTrace // last-ops ring buffer (RecordOps)
-	ringPos    int
-	ringLen    int
 	servicing  *op
 	// touched queues the blocks the current operation mutated for the
 	// post-operation invariant check (checker only); opCount counts
@@ -109,17 +106,6 @@ func (e *CancelledError) Error() string { return "engine: run cancelled: " + e.E
 
 // Unwrap exposes the hook's error to errors.Is/As.
 func (e *CancelledError) Unwrap() error { return e.Err }
-
-// OpTrace is one entry of the crash-diagnostics ring buffer
-// (Config.RecordOps): the operations serviced just before a failure.
-type OpTrace struct {
-	CPU  memory.NodeID
-	At   uint64 // issuing processor's clock at issue
-	Addr memory.Addr
-	Size uint32
-	Kind memory.Kind
-	RMW  bool
-}
 
 // PanicError is a panic — in a program or in the engine itself —
 // converted into a run error, with the goroutine stack captured at the
@@ -167,15 +153,27 @@ func recoveredError(cpu memory.NodeID, r any) error {
 	return &PanicError{CPU: cpu, Value: r, Stack: debug.Stack()}
 }
 
-// OpRecord describes one scheduled memory operation, for trace capture.
+// OpRecord describes one serviced memory operation: what the recorder
+// hook is handed, a trace stores (trace.Op) and a failed point's
+// operation trail lists. Its field order packs it into 32 bytes.
 type OpRecord struct {
 	CPU     memory.NodeID
+	Compute uint32 // busy cycles since the CPU's previous operation
+	At      uint64 // issuing processor's clock at issue
 	Addr    memory.Addr
 	Size    uint32
 	Kind    memory.Kind
 	RMW     bool
 	Source  memory.Source
-	Compute uint32 // busy cycles since the CPU's previous operation
+}
+
+// String renders o as an operation-trail entry: "cpu1@218365 store 0x4bc0+8".
+func (o OpRecord) String() string {
+	s := fmt.Sprintf("cpu%d@%d %s %#x+%d", o.CPU, o.At, o.Kind, o.Addr, o.Size)
+	if o.RMW {
+		s += " (rmw)"
+	}
+	return s
 }
 
 // NewMachine builds a machine from cfg.
@@ -227,13 +225,10 @@ func NewMachine(cfg Config) (*Machine, error) {
 			m.checkEvery = 4096
 		}
 	}
-	if cfg.RecordOps > 0 {
-		m.ring = make([]OpTrace, cfg.RecordOps)
-	}
 	if cfg.DirMSHRs > 0 || cfg.MsgFaults != nil || cfg.Retry.Enabled() {
 		m.resil = newResil(cfg)
 	}
-	m.hooks = m.checker != nil || m.faults != nil || m.ring != nil || m.cancel != nil
+	m.hooks = m.checker != nil || m.faults != nil || m.cancel != nil
 	return m, nil
 }
 
@@ -272,32 +267,16 @@ func (m *Machine) Directory() *directory.Directory { return m.dir }
 func (m *Machine) Hierarchy(n memory.NodeID) *cache.Hierarchy { return m.nodes[n].caches }
 
 // SetRecorder installs a hook invoked for every memory operation, in
-// service order, just before it is serviced (trace capture). Must be set
-// before Run. The hook sees the same sequence under either scheduler: it
-// runs on the scheduler path and on run-ahead's inline path alike. A
-// panic with a *CancelledError ends the run with that error.
+// service order, just before it is serviced: trace capture and a failed
+// point's operation trail ride it. Must be set before Run. The hook sees
+// the same sequence under either scheduler: it runs on the scheduler
+// path and on run-ahead's inline path alike. A panic with a
+// *CancelledError ends the run with that error.
 func (m *Machine) SetRecorder(fn func(OpRecord)) { m.recorder = fn }
 
 // RunAheadOps returns the number of operations serviced inline under a
 // run-ahead lease (zero under SchedSerial).
 func (m *Machine) RunAheadOps() uint64 { return m.runAheadOps }
-
-// LastOps returns the crash-diagnostics ring (Config.RecordOps) in
-// chronological order: the last operations serviced before Run returned.
-func (m *Machine) LastOps() []OpTrace {
-	if m.ringLen == 0 {
-		return nil
-	}
-	out := make([]OpTrace, 0, m.ringLen)
-	start := m.ringPos - m.ringLen
-	if start < 0 {
-		start += len(m.ring)
-	}
-	for i := 0; i < m.ringLen; i++ {
-		out = append(out, m.ring[(start+i)%len(m.ring)])
-	}
-	return out
-}
 
 // Run executes one program per processor to completion and finalizes the
 // statistics. The i-th program runs on node i; if fewer programs than
@@ -456,11 +435,8 @@ func (m *Machine) record(o *op) {
 	if o.at > o.proc.lastDone {
 		gap = uint32(o.at - o.proc.lastDone)
 	}
-	m.recorder(OpRecord{
-		CPU: o.proc.id, Addr: o.addr, Size: o.size,
-		Kind: o.kind, RMW: o.rmw, Source: o.proc.src,
-		Compute: gap,
-	})
+	m.recorder(OpRecord{CPU: o.proc.id, Compute: gap, At: o.at, Addr: o.addr,
+		Size: o.size, Kind: o.kind, RMW: o.rmw, Source: o.proc.src})
 }
 
 // precheckOp validates every block the operation is about to touch, so a
@@ -483,28 +459,14 @@ func (m *Machine) precheckOp(o *op) {
 }
 
 // afterOp runs the per-operation robustness hooks once an operation has
-// been fully serviced: cancel polling, the crash-diagnostics ring, the
-// touched-block invariant checks, fault injection, and the periodic full
-// sweep. Checker failures panic with a *CoherenceViolation and flow
-// through the normal abort machinery.
+// been fully serviced: cancel polling, the touched-block invariant checks,
+// fault injection, and the periodic full sweep. Checker failures panic
+// with a *CoherenceViolation and flow through the normal abort machinery.
 func (m *Machine) afterOp(o *op) {
 	m.opCount++
 	if m.cancel != nil && m.opCount&1023 == 0 {
 		if err := m.cancel(); err != nil {
 			panic(&CancelledError{Err: err})
-		}
-	}
-	if m.ring != nil {
-		m.ring[m.ringPos] = OpTrace{
-			CPU: o.proc.id, At: o.at, Addr: o.addr, Size: o.size,
-			Kind: o.kind, RMW: o.rmw,
-		}
-		m.ringPos++
-		if m.ringPos == len(m.ring) {
-			m.ringPos = 0
-		}
-		if m.ringLen < len(m.ring) {
-			m.ringLen++
 		}
 	}
 	if m.checker != nil {

@@ -51,47 +51,21 @@ func (p *adaptive) NoteGlobalWrite(e *directory.Entry, req memory.NodeID, holdsC
 		if other != memory.NoNode && other == e.LastWriter {
 			// Exactly two copies, requester is one, last writer is the
 			// other: migratory detection fires.
-			tagged = p.tag(e)
+			tagged = p.variant.tag(e, &e.Migratory)
 		} else {
 			// The ownership acquisition does not match the migratory
 			// signature: adapt back.
-			p.detag(e)
+			p.variant.detag(e, &e.Migratory)
 		}
 	} else if !holdsCopy && e.State == directory.Shared {
 		// A write miss invalidating multiple read-shared copies is not
 		// migratory behaviour.
-		p.detag(e)
+		p.variant.detag(e, &e.Migratory)
 	}
 	e.LastWriter = req
 	return tagged
 }
 
 func (p *adaptive) NoteFailedPrediction(e *directory.Entry) {
-	p.detag(e)
-}
-
-func (p *adaptive) tag(e *directory.Entry) bool {
-	e.DetagCount = 0
-	if p.variant.TagHysteresis > 1 {
-		if int(e.TagCount)+1 < p.variant.TagHysteresis {
-			e.TagCount++
-			return false
-		}
-		e.TagCount = 0
-	}
-	was := e.Migratory
-	e.Migratory = true
-	return !was
-}
-
-func (p *adaptive) detag(e *directory.Entry) {
-	e.TagCount = 0
-	if p.variant.DetagHysteresis > 1 {
-		if int(e.DetagCount)+1 < p.variant.DetagHysteresis {
-			e.DetagCount++
-			return
-		}
-		e.DetagCount = 0
-	}
-	e.Migratory = false
+	p.variant.detag(e, &e.Migratory)
 }

@@ -48,7 +48,7 @@ func (p *loadstore) NoteGlobalWrite(e *directory.Entry, req memory.NodeID, holds
 	if holdsCopy && req == e.LR {
 		// Ownership request from the last reader: the defining
 		// load-store sequence event.
-		return p.tag(e)
+		return p.variant.tag(e, &e.LS)
 	}
 	if !holdsCopy {
 		// Write request from a processor without a copy: the access was
@@ -61,7 +61,7 @@ func (p *loadstore) NoteGlobalWrite(e *directory.Entry, req memory.NodeID, holds
 			// the load and the store; keep the LS bit value.
 			return false
 		}
-		p.detag(e)
+		p.variant.detag(e, &e.LS)
 		return false
 	}
 	// Ownership request from a holder that was not the last reader:
@@ -71,31 +71,5 @@ func (p *loadstore) NoteGlobalWrite(e *directory.Entry, req memory.NodeID, holds
 }
 
 func (p *loadstore) NoteFailedPrediction(e *directory.Entry) {
-	p.detag(e)
-}
-
-func (p *loadstore) tag(e *directory.Entry) bool {
-	e.DetagCount = 0
-	if p.variant.TagHysteresis > 1 {
-		if int(e.TagCount)+1 < p.variant.TagHysteresis {
-			e.TagCount++
-			return false
-		}
-		e.TagCount = 0
-	}
-	was := e.LS
-	e.LS = true
-	return !was
-}
-
-func (p *loadstore) detag(e *directory.Entry) {
-	e.TagCount = 0
-	if p.variant.DetagHysteresis > 1 {
-		if int(e.DetagCount)+1 < p.variant.DetagHysteresis {
-			e.DetagCount++
-			return
-		}
-		e.DetagCount = 0
-	}
-	e.LS = false
+	p.variant.detag(e, &e.LS)
 }

@@ -100,6 +100,39 @@ func (v Variant) String() string {
 	return s
 }
 
+// tag records a tagging event on e, whose tag bit is *bit (LS's LS bit,
+// AD's migratory bit). Under TagHysteresis the bit is set only by the
+// TagHysteresis-th consecutive event; any event clears e's de-tag count.
+// It reports whether the event set a bit that was clear.
+func (v Variant) tag(e *directory.Entry, bit *bool) bool {
+	e.DetagCount = 0
+	if v.TagHysteresis > 1 {
+		if int(e.TagCount)+1 < v.TagHysteresis {
+			e.TagCount++
+			return false
+		}
+		e.TagCount = 0
+	}
+	was := *bit
+	*bit = true
+	return !was
+}
+
+// detag records a de-tagging event on e, whose tag bit is *bit: under
+// DetagHysteresis the bit is cleared only by the DetagHysteresis-th
+// consecutive event, and any event clears e's tag count.
+func (v Variant) detag(e *directory.Entry, bit *bool) {
+	e.TagCount = 0
+	if v.DetagHysteresis > 1 {
+		if int(e.DetagCount)+1 < v.DetagHysteresis {
+			e.DetagCount++
+			return
+		}
+		e.DetagCount = 0
+	}
+	*bit = false
+}
+
 // Protocol is the policy interface consulted by the engine's home-node
 // (memory controller) logic.
 type Protocol interface {

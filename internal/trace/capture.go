@@ -9,19 +9,10 @@ import (
 // the returned error function after the run (the engine hook cannot fail).
 func Capture(m *engine.Machine, w *Writer) (firstErr func() error) {
 	var err error
-	m.SetRecorder(func(rec engine.OpRecord) {
-		if err != nil {
-			return
+	m.SetRecorder(func(op Op) {
+		if err == nil {
+			err = w.Append(op)
 		}
-		err = w.Append(Op{
-			CPU:     rec.CPU,
-			Addr:    rec.Addr,
-			Size:    rec.Size,
-			Kind:    rec.Kind,
-			Source:  rec.Source,
-			RMW:     rec.RMW,
-			Compute: rec.Compute,
-		})
 	})
 	return func() error { return err }
 }

@@ -38,16 +38,10 @@ const Magic = "LSTR"
 // Version is the current trace format version.
 const Version = 1
 
-// Op is one traced memory operation.
-type Op struct {
-	CPU     memory.NodeID
-	Addr    memory.Addr
-	Size    uint32
-	Kind    memory.Kind
-	Source  memory.Source
-	RMW     bool
-	Compute uint32 // busy cycles since the previous op on this CPU
-}
+// Op is one traced memory operation: the record the engine's recorder
+// hook hands Capture. A trace stores every field but At; replay re-times
+// each operation, so At reads zero in a loaded trace.
+type Op = engine.OpRecord
 
 const (
 	flagStore = 1 << 0

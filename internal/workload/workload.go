@@ -15,7 +15,6 @@ package workload
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"lsnuma/internal/engine"
 	"lsnuma/internal/memory"
@@ -28,13 +27,6 @@ type Workload interface {
 	// Programs allocates the workload's shared data on m and returns one
 	// program per processor (len == m.Nodes()).
 	Programs(m *engine.Machine) ([]engine.Program, error)
-}
-
-// Registry maps workload names to constructors with default ("paper") and
-// reduced ("test") scales.
-type Registry struct {
-	byName map[string]func(scale Scale, cpus int) Workload
-	names  []string
 }
 
 // Scale selects the workload problem size.
@@ -74,37 +66,6 @@ func ParseScale(s string) (Scale, error) {
 	default:
 		return 0, fmt.Errorf("workload: unknown scale %q", s)
 	}
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{byName: make(map[string]func(Scale, int) Workload)}
-}
-
-// Register adds a constructor under name.
-func (r *Registry) Register(name string, ctor func(scale Scale, cpus int) Workload) {
-	if _, dup := r.byName[name]; dup {
-		panic(fmt.Sprintf("workload: duplicate registration of %q", name))
-	}
-	r.byName[name] = ctor
-	r.names = append(r.names, name)
-	sort.Strings(r.names)
-}
-
-// New instantiates the named workload.
-func (r *Registry) New(name string, scale Scale, cpus int) (Workload, error) {
-	ctor, ok := r.byName[name]
-	if !ok {
-		return nil, fmt.Errorf("workload: unknown workload %q (have %v)", name, r.names)
-	}
-	return ctor(scale, cpus), nil
-}
-
-// Names lists the registered workloads in sorted order.
-func (r *Registry) Names() []string {
-	out := make([]string, len(r.names))
-	copy(out, r.names)
-	return out
 }
 
 // Rand returns a deterministic RNG for workload construction.

@@ -15,34 +15,6 @@ func alloc(t *testing.T) *memory.Allocator {
 	return memory.NewAllocator(l, 0)
 }
 
-func TestRegistry(t *testing.T) {
-	r := NewRegistry()
-	r.Register("b", func(Scale, int) Workload { return nil })
-	r.Register("a", func(Scale, int) Workload { return nil })
-	names := r.Names()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Errorf("Names = %v", names)
-	}
-	if _, err := r.New("a", ScaleTest, 4); err != nil {
-		t.Errorf("New(a) failed: %v", err)
-	}
-	if _, err := r.New("zzz", ScaleTest, 4); err == nil {
-		t.Error("unknown workload accepted")
-	}
-}
-
-func TestRegistryDuplicatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate registration did not panic")
-		}
-	}()
-	r := NewRegistry()
-	ctor := func(Scale, int) Workload { return nil }
-	r.Register("x", ctor)
-	r.Register("x", ctor)
-}
-
 func TestParseScale(t *testing.T) {
 	for s, want := range map[string]Scale{"test": ScaleTest, "small": ScaleSmall, "paper": ScalePaper} {
 		got, err := ParseScale(s)

@@ -3,6 +3,7 @@ package lsnuma
 import (
 	"context"
 	"fmt"
+	"sort"
 
 	"lsnuma/internal/engine"
 	"lsnuma/internal/workload"
@@ -12,76 +13,83 @@ import (
 	"lsnuma/internal/workload/oltp"
 )
 
-// registry holds the four paper workloads.
-var registry = func() *workload.Registry {
-	r := workload.NewRegistry()
-	r.Register("mp3d", mp3d.New)
-	r.Register("cholesky", cholesky.New)
-	r.Register("lu", lu.New)
-	r.Register("oltp", oltp.New)
-	return r
-}()
+// workloads maps the four paper workloads' names to their constructors.
+var workloads = map[string]func(Scale, int) workload.Workload{
+	"mp3d":     mp3d.New,
+	"cholesky": cholesky.New,
+	"lu":       lu.New,
+	"oltp":     oltp.New,
+}
 
-// Workloads lists the available workload names.
-func Workloads() []string { return registry.Names() }
+// Workloads lists the available workload names in sorted order.
+func Workloads() []string {
+	names := make([]string, 0, len(workloads))
+	for name := range workloads {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
 
 // NewWorkload instantiates the named workload at the given scale for a
 // machine of cpus processors. An unknown name's error lists the
 // available ones.
 func NewWorkload(name string, scale Scale, cpus int) (workload.Workload, error) {
-	return registry.New(name, scale, cpus)
+	ctor, ok := workloads[name]
+	if !ok {
+		return nil, fmt.Errorf("workload: unknown workload %q (have %v)", name, Workloads())
+	}
+	return ctor(scale, cpus), nil
 }
 
 // Run simulates the named workload at the given scale under cfg and
 // returns the full measurement set.
 func Run(cfg Config, workloadName string, scale Scale) (*Result, error) {
-	res, _, err := runNamed(context.Background(), cfg, workloadName, scale)
-	return res, err
+	return runNamed(context.Background(), cfg, workloadName, scale, nil)
 }
 
-// runNamed is Run returning the underlying machine as well, so failure
-// paths (RunAll's retry escalation) can read crash diagnostics — the
-// last-ops ring — off the dead machine. The machine is nil when the
-// failure precedes machine construction.
-func runNamed(ctx context.Context, cfg Config, workloadName string, scale Scale) (*Result, *engine.Machine, error) {
+// runNamed is Run with a context (see runMachine) and an optional
+// recorder hook, which RunAll's checks-on retry uses to keep the
+// failure's operation trail.
+func runNamed(ctx context.Context, cfg Config, workloadName string, scale Scale, rec func(engine.OpRecord)) (*Result, error) {
 	w, err := NewWorkload(workloadName, scale, cfg.Nodes)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return runMachine(ctx, cfg, w, scale.String())
+	return runMachine(ctx, cfg, w, scale.String(), rec)
 }
 
 // RunWorkload simulates an arbitrary workload (including user-defined
 // ones implementing the workload interface via RunPrograms).
 func RunWorkload(cfg Config, w workload.Workload, scaleName string) (*Result, error) {
-	res, _, err := runMachine(context.Background(), cfg, w, scaleName)
-	return res, err
+	return runMachine(context.Background(), cfg, w, scaleName, nil)
 }
 
 // runMachine builds, runs and measures one simulation point on a fresh
-// machine, which it returns with the Result or the error, so a failed
-// point's diagnostics (the last-ops ring) can still be read off it. When
-// ctx is cancellable, the machine polls it between operations and aborts
-// the run with an engine.CancelledError once it expires — the hook
-// behind RunOptions.PointTimeout.
-func runMachine(ctx context.Context, cfg Config, w workload.Workload, scaleName string) (*Result, *engine.Machine, error) {
+// machine, with rec (if non-nil) as its recorder hook
+// (engine.Machine.SetRecorder). When ctx is cancellable, the machine
+// polls it between operations and aborts the run with an
+// engine.CancelledError once it expires — the hook behind
+// RunOptions.PointTimeout.
+func runMachine(ctx context.Context, cfg Config, w workload.Workload, scaleName string, rec func(engine.OpRecord)) (*Result, error) {
 	ec, err := cfg.engineConfig()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if ctx != nil && ctx.Done() != nil {
 		ec.Cancel = ctx.Err
 	}
 	m, err := engine.NewMachine(ec)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
+	m.SetRecorder(rec)
 	progs, err := w.Programs(m)
 	if err != nil {
-		return nil, m, err
+		return nil, err
 	}
 	if err := m.Run(progs); err != nil {
-		return nil, m, fmt.Errorf("lsnuma: %s on %s: %w", w.Name(), cfg.ProtocolName(), err)
+		return nil, fmt.Errorf("lsnuma: %s on %s: %w", w.Name(), cfg.ProtocolName(), err)
 	}
 	res := &Result{
 		Workload: w.Name(),
@@ -92,7 +100,7 @@ func runMachine(ctx context.Context, cfg Config, w workload.Workload, scaleName 
 	res.Dir.Format = ec.DirFormat.String()
 	res.Dir.EntryBits = ec.DirFormat.EntryBits(cfg.Nodes)
 	fillResult(res, m.Stats(), m.Sequences(), m.FalseSharing())
-	return res, m, nil
+	return res, nil
 }
 
 // BuildPrograms is the signature for user-defined workloads run through

@@ -7,8 +7,11 @@ package lsnuma
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
+
+	"lsnuma/internal/check"
 )
 
 // faultPoint returns a point whose simulation reliably fails: a dropped
@@ -47,7 +50,7 @@ func TestCheckedRunCatchesInjectedFault(t *testing.T) {
 
 // TestRetryEscalation: a point that dies with a cryptic engine panic is
 // retried once with checking on; the repro bundle must carry the panic
-// stack, the checker's diagnosis, and the tail of the operation ring.
+// stack, the checker's diagnosis, and the retry's operation trail.
 func TestRetryEscalation(t *testing.T) {
 	results, err := RunAll(context.Background(),
 		[]Point{goodPoint("good"), faultPoint("bad")}, RunOptions{})
@@ -79,6 +82,44 @@ func TestRetryEscalation(t *testing.T) {
 		t.Error("retry captured no operation trail")
 	} else if s := b.LastOps[len(b.LastOps)-1].String(); !strings.Contains(s, "cpu") {
 		t.Errorf("op trace renders oddly: %q", s)
+	}
+}
+
+// TestRetryEscalationTrail: the checks-on retry's operation trail holds
+// at most reproRingSize operations in service order and ends with the
+// operation whose check failed. A silent downgrade leaves a CPU holding
+// a Shared copy its home has forgotten; the retry's checker catches it
+// when that CPU next accesses the block, so the trail must end with an
+// access to the block the violation names.
+func TestRetryEscalationTrail(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Protocol = LS
+	cfg.Faults = "silent-downgrade@300"
+	results, _ := RunAll(context.Background(),
+		[]Point{{Label: "trail", Config: cfg, Workload: "mp3d", Scale: ScaleTest}}, RunOptions{})
+	b := results[0].Repro
+	if b == nil || !strings.HasPrefix(b.Retry, "checks-on retry failed:") {
+		t.Fatalf("want a bundle from a failed checks-on retry, got %+v", b)
+	}
+	cfg.Check = CheckTouched
+	_, err := Run(cfg, "mp3d", ScaleTest)
+	var v *check.CoherenceViolation
+	if !errors.As(err, &v) {
+		t.Fatalf("the checked run did not fail with a coherence violation: %v", err)
+	}
+	ops := b.LastOps
+	if len(ops) == 0 || len(ops) > reproRingSize {
+		t.Fatalf("trail holds %d operations, want 1..%d", len(ops), reproRingSize)
+	}
+	for i := 1; i < len(ops); i++ {
+		if ops[i].At < ops[i-1].At {
+			t.Errorf("trail out of order: %q before %q", ops[i-1], ops[i])
+		}
+	}
+	last := ops[len(ops)-1]
+	addr, block := uint64(last.Addr), uint64(v.Block)
+	if addr >= block+cfg.BlockSize || addr+uint64(last.Size) <= block {
+		t.Errorf("trail ends with %q, not an access to block %#x", last, block)
 	}
 }
 

@@ -48,25 +48,6 @@ func (pr PointResult) Fresh() bool {
 	return pr.Err == nil && pr.Result != nil && !pr.Cached && !pr.Deduped
 }
 
-// OpTrace is one memory operation from a failed run's crash-diagnostics
-// ring buffer (Config.RecordOps).
-type OpTrace struct {
-	CPU  int    // issuing processor
-	At   uint64 // processor clock at issue
-	Addr uint64
-	Size uint32
-	Kind string // "load" or "store"
-	RMW  bool
-}
-
-func (o OpTrace) String() string {
-	rmw := ""
-	if o.RMW {
-		rmw = " (rmw)"
-	}
-	return fmt.Sprintf("cpu%d@%d %s %#x+%d%s", o.CPU, o.At, o.Kind, o.Addr, o.Size, rmw)
-}
-
 // ReproBundle is the diagnostic bundle RunAll captures for a failed
 // point: everything needed to reproduce and localize the failure offline.
 type ReproBundle struct {
@@ -86,10 +67,11 @@ type ReproBundle struct {
 	// run already had checking on, or the failure was already
 	// structured).
 	Retry string
-	// LastOps is the tail of the retry run's operation ring: the memory
-	// operations serviced just before the failure (empty when the retry
-	// succeeded, did not run, or died before servicing anything).
-	LastOps []OpTrace
+	// LastOps is the retry run's operation trail: the last
+	// reproRingSize operations it serviced, in service order, ending with
+	// the one whose service failed (empty when the retry succeeded, did
+	// not run, or failed before servicing anything).
+	LastOps []engine.OpRecord
 }
 
 // RunOptions controls the parallel execution of a point set.
@@ -123,17 +105,19 @@ type RunOptions struct {
 	OnPoint func(i int, pr PointResult)
 }
 
-// reproRingSize is the operation-ring length used by the automatic
-// checks-on retry of a failed point.
+// reproRingSize is the length of the operation trail the automatic
+// checks-on retry of a failed point keeps.
 const reproRingSize = 32
 
 // runPointDiag runs one point; on failure it builds the repro bundle and
 // — unless the failure is already structured or was checked — retries
 // once with the online invariant checker enabled, so a cryptic panic gets
 // a second chance to be localized as a structured coherence violation
-// with an operation trail.
+// with an operation trail. The retry's recorder hook keeps the trail;
+// it sees each operation before its service, so the trail includes the
+// operation whose check failed.
 func runPointDiag(ctx context.Context, pt Point) (*Result, *ReproBundle, error) {
-	res, _, err := runNamed(ctx, pt.Config, pt.Workload, pt.Scale)
+	res, err := runNamed(ctx, pt.Config, pt.Workload, pt.Scale, nil)
 	if err == nil {
 		return res, nil, nil
 	}
@@ -156,22 +140,19 @@ func runPointDiag(ctx context.Context, pt Point) (*Result, *ReproBundle, error) 
 	}
 	rcfg := pt.Config
 	rcfg.Check = CheckTouched
-	if rcfg.RecordOps == 0 {
-		rcfg.RecordOps = reproRingSize
-	}
-	_, m, rerr := runNamed(ctx, rcfg, pt.Workload, pt.Scale)
+	var trail [reproRingSize]engine.OpRecord
+	n := 0
+	_, rerr := runNamed(ctx, rcfg, pt.Workload, pt.Scale, func(o engine.OpRecord) {
+		trail[n%reproRingSize] = o
+		n++
+	})
 	if rerr == nil {
 		bundle.Retry = "checks-on retry succeeded: the failure did not reproduce under CheckTouched"
 		return nil, bundle, err
 	}
 	bundle.Retry = "checks-on retry failed: " + rerr.Error()
-	if m != nil {
-		for _, o := range m.LastOps() {
-			bundle.LastOps = append(bundle.LastOps, OpTrace{
-				CPU: int(o.CPU), At: o.At, Addr: uint64(o.Addr),
-				Size: o.Size, Kind: o.Kind.String(), RMW: o.RMW,
-			})
-		}
+	for i := max(0, n-reproRingSize); i < n; i++ {
+		bundle.LastOps = append(bundle.LastOps, trail[i%reproRingSize])
 	}
 	return nil, bundle, err
 }
@@ -186,12 +167,11 @@ func runPointDiag(ctx context.Context, pt Point) (*Result, *ReproBundle, error) 
 // (errors.Join of *runner.JobError; nil when everything succeeded).
 // A failed point also carries a ReproBundle — config, panic stack, and
 // (after the automatic retry-once-with-checks-on escalation of an
-// unchecked run) the checker's diagnosis plus the last operations
-// serviced before the failure. Cancelling ctx skips points that have not
-// started and records ctx's error for them; points already running
-// complete normally. A worker that computed a point collects garbage
-// before it takes the next, so a batch's memory peaks at the machines
-// running at once.
+// unchecked run) the checker's diagnosis plus the retry's operation
+// trail. Cancelling ctx skips points that have not started and records
+// ctx's error for them; points already running complete normally. A
+// worker that computed a point collects garbage before it takes the
+// next, so a batch's memory peaks at the machines running at once.
 func RunAll(ctx context.Context, points []Point, opt RunOptions) ([]PointResult, error) {
 	out := make([]PointResult, len(points))
 	for i := range points {
