@@ -89,11 +89,11 @@ func TestCachedVsFreshMatrix(t *testing.T) {
 func TestPointKeyStability(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Protocol = LS
-	k1, err := PointKey(cfg, "mp3d", ScaleTest)
+	k1, err := pointKey(cfg, "mp3d", ScaleTest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k2, err := PointKey(cfg, "mp3d", ScaleTest)
+	k2, err := pointKey(cfg, "mp3d", ScaleTest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,15 +104,15 @@ func TestPointKeyStability(t *testing.T) {
 		"protocol": func() (string, error) {
 			c := cfg
 			c.Protocol = AD
-			return PointKey(c, "mp3d", ScaleTest)
+			return pointKey(c, "mp3d", ScaleTest)
 		},
 		"block-size": func() (string, error) {
 			c := cfg
 			c.BlockSize *= 2
-			return PointKey(c, "mp3d", ScaleTest)
+			return pointKey(c, "mp3d", ScaleTest)
 		},
-		"workload": func() (string, error) { return PointKey(cfg, "cholesky", ScaleTest) },
-		"scale":    func() (string, error) { return PointKey(cfg, "mp3d", ScaleSmall) },
+		"workload": func() (string, error) { return pointKey(cfg, "cholesky", ScaleTest) },
+		"scale":    func() (string, error) { return pointKey(cfg, "mp3d", ScaleSmall) },
 		// The scheduler must land in the content hash even though both
 		// schedulers produce identical Results: a cache entry records
 		// the exact configuration asked for, and collapsing these fields
@@ -120,7 +120,7 @@ func TestPointKeyStability(t *testing.T) {
 		"scheduler": func() (string, error) {
 			c := cfg
 			c.Scheduler = "serial"
-			return PointKey(c, "mp3d", ScaleTest)
+			return pointKey(c, "mp3d", ScaleTest)
 		},
 	}
 	for name, f := range perturb {
@@ -147,11 +147,11 @@ func TestPointKeyStability(t *testing.T) {
 		a, b := cfg, cfg
 		tc.a(&a)
 		tc.b(&b)
-		ka, err := PointKey(a, "mp3d", ScaleTest)
+		ka, err := pointKey(a, "mp3d", ScaleTest)
 		if err != nil {
 			t.Fatal(err)
 		}
-		kb, err := PointKey(b, "mp3d", ScaleTest)
+		kb, err := pointKey(b, "mp3d", ScaleTest)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +201,7 @@ func TestCacheSchemaInvalidation(t *testing.T) {
 // error and never a wrong Result.
 func TestCacheCorruptionIsMiss(t *testing.T) {
 	pt := cachePoints()[0]
-	key, err := PointKey(pt.Config, pt.Workload, pt.Scale)
+	key, err := pointKey(pt.Config, pt.Workload, pt.Scale)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package lsnuma
 import (
 	"bytes"
 	"errors"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
@@ -12,9 +13,10 @@ import (
 )
 
 // TestCLISurface builds the five binaries and pins their command-line
-// surface: each -h lists exactly the flags below, and a bad machine-flag
-// value or an unknown artifact fails before any simulation, with a
-// non-zero exit, nothing on stdout and a single line on stderr.
+// surface: each -h lists exactly the flags below, a bad machine-flag or
+// -scale value or an unknown artifact fails before any simulation, with
+// a non-zero exit, nothing on stdout and a single line on stderr, and
+// the profile flags write their profiles.
 func TestCLISurface(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the binaries; skipped in -short")
@@ -29,7 +31,7 @@ func TestCLISurface(t *testing.T) {
 			"mshrs mutexprofile no-cache point-timeout retry scale scheduler table timeout version",
 		"lstrace": "capture check dirformat faults info o protocol replay scale scheduler version workload",
 		"lsnumad": "addr cache cache-dir drain-timeout j jobs no-cache point-timeout pprof-addr quantum queue " +
-			"retry-seed state-dir version",
+			"state-dir version",
 	}
 	dir := t.TempDir()
 	args := []string{"build", "-o", dir + string(filepath.Separator)}
@@ -61,6 +63,7 @@ func TestCLISurface(t *testing.T) {
 		{"lsreport", "-fig", "3", "-table", "9"},
 		{"lssweep", "-retry", "max:banana"},
 		{"lssim", "-check", "extreme"},
+		{"lssweep", "-scale", "huge"},
 	}
 	for _, b := range bad {
 		var stdout, stderr bytes.Buffer
@@ -73,6 +76,18 @@ func TestCLISurface(t *testing.T) {
 		}
 		if stdout.Len() != 0 || strings.Count(stderr.String(), "\n") != 1 {
 			t.Errorf("%v: want empty stdout and one stderr line, got stdout %q, stderr %q", b, stdout.String(), stderr.String())
+		}
+	}
+
+	// The profile rows write their profiles when the run ends.
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	if out, err := exec.Command(filepath.Join(dir, "lssim"), "-protocol", "LS",
+		"-cpuprofile", cpu, "-memprofile", mem).CombinedOutput(); err != nil {
+		t.Fatalf("lssim with profiles: %v\n%s", err, out)
+	}
+	for _, f := range []string{cpu, mem} {
+		if st, err := os.Stat(f); err != nil || st.Size() == 0 {
+			t.Errorf("profile %s: want a non-empty file (stat: %v)", f, err)
 		}
 	}
 

@@ -111,7 +111,6 @@ func main() {
 		jobs         = flag.Int("jobs", 2, "concurrent job slots")
 		queue        = flag.Int("queue", 8, "queue depth per tenant, the default bucket included (beyond it: 429 + Retry-After)")
 		quantum      quantumFlag
-		retrySeed    = flag.Duration("retry-seed", 0, "assumed job duration for Retry-After before the first job completes (0 = 1s)")
 		pprofAddr    = flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060); bind loopback unless you mean to expose it")
 		stateDir     = flag.String("state-dir", "", "journal accepted jobs under this directory and replay incomplete ones on startup (implies a result cache at <state-dir>/cache unless -cache-dir or -no-cache overrides)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful drain deadline on SIGTERM/SIGINT")
@@ -128,7 +127,7 @@ func main() {
 	}
 	cache, err := flags.OpenCache()
 	if err != nil {
-		fatal(err)
+		flags.Fatal(err)
 	}
 
 	logf := func(format string, args ...any) {
@@ -137,7 +136,7 @@ func main() {
 	var jn *journal.Journal
 	if *stateDir != "" {
 		if jn, err = journal.Open(*stateDir, logf); err != nil {
-			fatal(err)
+			flags.Fatal(err)
 		}
 	}
 
@@ -146,7 +145,6 @@ func main() {
 		QueueDepth:   *queue,
 		Quantum:      quantum.def,
 		TenantQuanta: quantum.per,
-		RetrySeed:    *retrySeed,
 		Journal:      jn,
 		Parallelism:  flags.Parallelism,
 		PointTimeout: flags.PointTimeout,
@@ -196,7 +194,7 @@ func main() {
 
 	select {
 	case err := <-errCh:
-		fatal(err)
+		flags.Fatal(err)
 	case sig := <-sigCh:
 		fmt.Fprintf(os.Stderr, "lsnumad: %v: draining (deadline %s; signal again to abort)\n", sig, *drainTimeout)
 	}
@@ -239,9 +237,4 @@ const readHeaderTimeout = 5 * time.Second
 // newHTTPServer returns the job-serving HTTP server.
 func newHTTPServer(addr string, h http.Handler) *http.Server {
 	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "lsnumad:", err)
-	os.Exit(1)
 }

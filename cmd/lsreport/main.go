@@ -30,46 +30,34 @@ import (
 
 	"lsnuma"
 	"lsnuma/internal/cli"
-	"lsnuma/internal/prof"
 	"lsnuma/internal/report"
-	"lsnuma/internal/workload"
 )
 
-// stopProfiles flushes any active profiles; fatal calls it so profiles
-// survive error exits (os.Exit skips the deferred call).
-var stopProfiles = func() {}
-
 func main() {
-	flags := cli.New(flag.CommandLine, "lsreport", cli.Machine, cli.Run, cli.Cache)
+	flags := cli.New(flag.CommandLine, "lsreport", cli.Machine, cli.Run, cli.Cache, cli.Profile, []string{"scale"})
 	var (
-		scaleName = flag.String("scale", "test", "problem size: test, small, paper")
 		fig       = flag.Int("fig", 0, "regenerate figure 3, 4, 5, 6 or 7")
 		table     = flag.Int("table", 0, "regenerate table 2, 3 or 4")
 		ablations = flag.Bool("ablations", false, "run the §5.5 ablation variants")
 		all       = flag.Bool("all", false, "regenerate every figure and table")
 	)
-	profiles := prof.Flags(flag.CommandLine)
 	flags.Parse(os.Args[1:])
 	if *fig == 0 && *table == 0 && !*ablations && !*all {
 		flag.Usage()
 		os.Exit(2)
 	}
 
-	scale, err := workload.ParseScale(*scaleName)
-	if err != nil {
-		fatal(err)
-	}
 	// The machine flags apply to every point; every artifact has 4-CPU
 	// points of the default configuration.
 	if err := flags.Apply(lsnuma.DefaultConfig()).Validate(); err != nil {
-		fatal(err)
+		flags.Fatal(err)
 	}
 	opts, err := flags.Options()
 	if err != nil {
-		fatal(err)
+		flags.Fatal(err)
 	}
 
-	r := &reporter{flags: flags, scale: scale, index: map[lsnuma.Point]int{}}
+	r := &reporter{flags: flags, index: map[lsnuma.Point]int{}}
 	artifacts := func(w io.Writer) {
 		r.out = w
 		if *all {
@@ -102,11 +90,7 @@ func main() {
 	ctx, stop := flags.Context()
 	defer stop()
 
-	stopProf, err := prof.Start(*profiles)
-	if err != nil {
-		fatal(err)
-	}
-	stopProfiles = stopProf
+	flags.StartProfiles()
 
 	// A failed point is reported on stderr once (with its diagnostic
 	// bundle), under the label of its first use, and leaves an annotated
@@ -131,7 +115,7 @@ func main() {
 	}
 	artifacts(os.Stdout)
 
-	stopProfiles()
+	flags.StopProfiles()
 	// Cache traffic goes to stderr so that warm and cold invocations
 	// keep byte-identical stdout.
 	if c := opts.Cache; c != nil {
@@ -153,7 +137,6 @@ func main() {
 // print to out, which is io.Discard until the batch's results are in.
 type reporter struct {
 	flags  *cli.Flags
-	scale  lsnuma.Scale
 	out    io.Writer
 	points []lsnuma.Point
 	// index maps a point with its label cleared to its place in points,
@@ -166,7 +149,7 @@ type reporter struct {
 // applied: nil while the points are being collected, and nil for a
 // failed point. label names the point on stderr if it is its first use.
 func (r *reporter) result(label string, cfg lsnuma.Config, workload string) *lsnuma.Result {
-	pt := lsnuma.Point{Config: r.flags.Apply(cfg), Workload: workload, Scale: r.scale}
+	pt := lsnuma.Point{Config: r.flags.Apply(cfg), Workload: workload, Scale: r.flags.Scale}
 	i, ok := r.index[pt]
 	if !ok {
 		i = len(r.points)
@@ -218,7 +201,7 @@ func (r *reporter) figure(n int) {
 	case 7:
 		r.behavior("Figure 7: Behavior of OLTP", "oltp")
 	default:
-		fatal(fmt.Errorf("no figure %d (have 3, 4, 5, 6, 7)", n))
+		r.flags.Fatal(fmt.Errorf("no figure %d (have 3, 4, 5, 6, 7)", n))
 	}
 }
 
@@ -252,7 +235,7 @@ func (r *reporter) table(n int) {
 		}
 		fmt.Fprintln(r.out, report.Table4(byBlock))
 	default:
-		fatal(fmt.Errorf("no table %d (have 2, 3, 4)", n))
+		r.flags.Fatal(fmt.Errorf("no table %d (have 2, 3, 4)", n))
 	}
 }
 
@@ -288,10 +271,4 @@ func (r *reporter) ablations() {
 		fmt.Fprintf(r.out, "  %-32s exec=%-10d msgs=%-8d read-misses=%-8d eliminated=%d\n",
 			c.name, res.ExecTime, res.Msgs, res.GlobalReadMisses(), res.EliminatedOwnership)
 	}
-}
-
-func fatal(err error) {
-	stopProfiles()
-	fmt.Fprintln(os.Stderr, "lsreport:", err)
-	os.Exit(1)
 }

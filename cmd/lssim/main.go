@@ -17,42 +17,29 @@ import (
 	"lsnuma"
 	"lsnuma/internal/classify"
 	"lsnuma/internal/cli"
-	"lsnuma/internal/prof"
 	"lsnuma/internal/report"
-	"lsnuma/internal/workload"
 )
 
-// stopProfiles flushes any active profiles; fatal calls it so profiles
-// survive error exits (os.Exit skips the deferred call).
-var stopProfiles = func() {}
-
 func main() {
-	flags := cli.New(flag.CommandLine, "lssim", cli.Machine)
+	flags := cli.New(flag.CommandLine, "lssim", cli.Machine, cli.Profile, []string{"workload", "scale"})
 	var (
-		workloadName = flag.String("workload", "mp3d", "workload: mp3d, cholesky, lu, oltp")
-		protoName    = flag.String("protocol", "all", "protocol: Baseline, AD, LS, or all")
-		scaleName    = flag.String("scale", "test", "problem size: test, small, paper")
-		nodes        = flag.Int("nodes", 4, "processor count")
-		block        = flag.Uint64("block", 0, "cache block size in bytes (0 = workload default)")
-		l1Size       = flag.Uint64("l1", 0, "L1 size in bytes (0 = default)")
-		l2Size       = flag.Uint64("l2", 0, "L2 size in bytes (0 = default)")
-		falseShare   = flag.Bool("falseshare", false, "enable the Dubois false-sharing classifier")
-		defaultTag   = flag.Bool("default-tagged", false, "§5.5: start all blocks tagged")
-		keepOnMiss   = flag.Bool("keep-on-write-miss", false, "§5.5: keep tag on LR write miss")
-		tagHyst      = flag.Int("tag-hysteresis", 0, "§5.5: tagging hysteresis depth")
-		detagHyst    = flag.Int("detag-hysteresis", 0, "§5.5: de-tagging hysteresis depth")
-		figure       = flag.Bool("figure", false, "render the three-panel behaviour figure (needs -protocol all)")
-		regions      = flag.Bool("regions", false, "print per-region load-store coverage")
-		jsonOut      = flag.Bool("json", false, "emit results as JSON instead of text")
+		protoName  = flag.String("protocol", "all", "protocol: Baseline, AD, LS, or all")
+		nodes      = flag.Int("nodes", 4, "processor count")
+		block      = flag.Uint64("block", 0, "cache block size in bytes (0 = workload default)")
+		l1Size     = flag.Uint64("l1", 0, "L1 size in bytes (0 = default)")
+		l2Size     = flag.Uint64("l2", 0, "L2 size in bytes (0 = default)")
+		falseShare = flag.Bool("falseshare", false, "enable the Dubois false-sharing classifier")
+		defaultTag = flag.Bool("default-tagged", false, "§5.5: start all blocks tagged")
+		keepOnMiss = flag.Bool("keep-on-write-miss", false, "§5.5: keep tag on LR write miss")
+		tagHyst    = flag.Int("tag-hysteresis", 0, "§5.5: tagging hysteresis depth")
+		detagHyst  = flag.Int("detag-hysteresis", 0, "§5.5: de-tagging hysteresis depth")
+		figure     = flag.Bool("figure", false, "render the three-panel behaviour figure (needs -protocol all)")
+		regions    = flag.Bool("regions", false, "print per-region load-store coverage")
+		jsonOut    = flag.Bool("json", false, "emit results as JSON instead of text")
 	)
-	profiles := prof.Flags(flag.CommandLine)
 	flags.Parse(os.Args[1:])
 
-	scale, err := workload.ParseScale(*scaleName)
-	if err != nil {
-		fatal(err)
-	}
-	cfg := flags.Apply(lsnuma.WorkloadConfig(*workloadName))
+	cfg := flags.Apply(lsnuma.WorkloadConfig(flags.Workload))
 	cfg.Nodes = *nodes
 	if *block != 0 {
 		cfg.BlockSize = *block
@@ -74,30 +61,26 @@ func main() {
 		cfg.Protocol = lsnuma.Protocol(*protoName)
 	}
 	if err := cfg.Validate(); err != nil {
-		fatal(err)
+		flags.Fatal(err)
 	}
 
-	stop, err := prof.Start(*profiles)
-	if err != nil {
-		fatal(err)
-	}
-	stopProfiles = stop
-	defer stop()
+	flags.StartProfiles()
+	defer flags.StopProfiles()
 
 	if *protoName == "all" {
-		results, err := lsnuma.Compare(cfg, *workloadName, scale)
+		results, err := lsnuma.Compare(cfg, flags.Workload, flags.Scale)
 		if err != nil {
-			fatal(err)
+			flags.Fatal(err)
 		}
 		if *jsonOut {
 			if err := lsnuma.WriteComparisonJSON(os.Stdout, results); err != nil {
-				fatal(err)
+				flags.Fatal(err)
 			}
 			return
 		}
 		if *figure {
 			fmt.Println(report.BehaviorFigure(
-				fmt.Sprintf("%s (%s, %d CPUs)", *workloadName, *scaleName, *nodes), results))
+				fmt.Sprintf("%s (%s, %d CPUs)", flags.Workload, flags.Scale, *nodes), results))
 		}
 		for _, p := range lsnuma.Protocols() {
 			printResult(results[p])
@@ -105,13 +88,13 @@ func main() {
 		return
 	}
 
-	res, err := lsnuma.Run(cfg, *workloadName, scale)
+	res, err := lsnuma.Run(cfg, flags.Workload, flags.Scale)
 	if err != nil {
-		fatal(err)
+		flags.Fatal(err)
 	}
 	if *jsonOut {
 		if err := res.WriteJSON(os.Stdout); err != nil {
-			fatal(err)
+			flags.Fatal(err)
 		}
 		return
 	}
@@ -183,10 +166,4 @@ func printResilience(rs *lsnuma.ResilRow) {
 		rs.Nacks, rs.Retries, rs.MeanRetries, rs.MaxRetries, rs.TimeoutResends)
 	fmt.Printf("      backoff: total=%d cycles, max=%d  faults: dropped=%d dup=%d reordered=%d\n",
 		rs.BackoffCycles, rs.MaxBackoff, rs.DroppedMsgs, rs.DupMsgs, rs.ReorderedMsgs)
-}
-
-func fatal(err error) {
-	stopProfiles()
-	fmt.Fprintln(os.Stderr, "lssim:", err)
-	os.Exit(1)
 }

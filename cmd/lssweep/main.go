@@ -31,37 +31,30 @@ import (
 	"lsnuma"
 	"lsnuma/internal/cli"
 	"lsnuma/internal/report"
-	"lsnuma/internal/workload"
 )
 
 func main() {
-	flags := cli.New(flag.CommandLine, "lssweep", cli.Machine, cli.Run, cli.Cache)
+	flags := cli.New(flag.CommandLine, "lssweep", cli.Machine, cli.Run, cli.Cache, []string{"workload", "scale"})
 	var (
-		workloadName = flag.String("workload", "mp3d", "workload: mp3d, cholesky, lu, oltp")
-		sweep        = flag.String("sweep", "block", "parameter to sweep: block, l1, l2, nodes")
-		scaleName    = flag.String("scale", "test", "problem size: test, small, paper")
-		cpus         = flag.Int("cpus", 0, "processor count for every cell (0 = workload default; the nodes sweep overrides this)")
+		sweep = flag.String("sweep", "block", "parameter to sweep: block, l1, l2, nodes")
+		cpus  = flag.Int("cpus", 0, "processor count for every cell (0 = workload default; the nodes sweep overrides this)")
 	)
 	flags.Parse(os.Args[1:])
 
-	scale, err := workload.ParseScale(*scaleName)
-	if err != nil {
-		fatal(err)
-	}
 	param, err := lsnuma.ParseSweepParam(*sweep)
 	if err != nil {
-		fatal(err)
+		flags.Fatal(err)
 	}
-	base := flags.Apply(lsnuma.WorkloadConfig(*workloadName))
+	base := flags.Apply(lsnuma.WorkloadConfig(flags.Workload))
 	if *cpus > 0 {
 		base.Nodes = *cpus
 	}
 	if err := base.Validate(); err != nil {
-		fatal(err)
+		flags.Fatal(err)
 	}
 	opts, err := flags.Options()
 	if err != nil {
-		fatal(err)
+		flags.Fatal(err)
 	}
 
 	// SIGINT/SIGTERM cancel the run context: in-flight cells abort at
@@ -73,7 +66,7 @@ func main() {
 	// A failed cell must not kill the sweep: print every completed cell,
 	// annotate the holes with their error and diagnostic bundle, and exit
 	// non-zero at the end if anything failed.
-	results, runErr := lsnuma.Sweep(ctx, base, param, *workloadName, scale, opts)
+	results, runErr := lsnuma.Sweep(ctx, base, param, flags.Workload, flags.Scale, opts)
 
 	failed := 0
 	for _, pt := range results {
@@ -95,9 +88,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "lssweep: %d cell(s) failed (results above are partial)\n", failed)
 		os.Exit(1)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "lssweep:", err)
-	os.Exit(1)
 }

@@ -18,19 +18,16 @@ import (
 	"lsnuma/internal/cli"
 	"lsnuma/internal/memory"
 	"lsnuma/internal/trace"
-	"lsnuma/internal/workload"
 )
 
 func main() {
-	flags := cli.New(flag.CommandLine, "lstrace", []string{"check", "faults", "scheduler", "dirformat"})
+	flags := cli.New(flag.CommandLine, "lstrace", []string{"check", "faults", "scheduler", "dirformat", "workload", "scale"})
 	var (
-		capture      = flag.Bool("capture", false, "capture a workload trace")
-		replay       = flag.String("replay", "", "replay the given trace file")
-		info         = flag.String("info", "", "print statistics about a trace file")
-		workloadName = flag.String("workload", "mp3d", "workload to capture")
-		protoName    = flag.String("protocol", "Baseline", "protocol for capture/replay")
-		scaleName    = flag.String("scale", "test", "problem size for capture")
-		out          = flag.String("o", "trace.lstr", "output trace file for capture")
+		capture   = flag.Bool("capture", false, "capture a workload trace")
+		replay    = flag.String("replay", "", "replay the given trace file")
+		info      = flag.String("info", "", "print statistics about a trace file")
+		protoName = flag.String("protocol", "Baseline", "protocol for capture/replay")
+		out       = flag.String("o", "trace.lstr", "output trace file for capture")
 	)
 	flags.Parse(os.Args[1:])
 
@@ -42,97 +39,99 @@ func main() {
 		cfg := flags.Apply(lsnuma.WorkloadConfig(workloadName))
 		cfg.Protocol = lsnuma.Protocol(*protoName)
 		if err := cfg.Validate(); err != nil {
-			fatal(err)
+			flags.Fatal(err)
 		}
 		return cfg
 	}
+	var err error
 	switch {
 	case *capture:
-		doCapture(config(*workloadName), *workloadName, *protoName, *scaleName, *out)
+		err = doCapture(config(flags.Workload), flags.Workload, *protoName, flags.Scale, *out)
 	case *replay != "":
-		doReplay(config(""), *replay, *protoName)
+		err = doReplay(config(""), *replay, *protoName)
 	case *info != "":
-		doInfo(*info)
+		err = doInfo(*info)
 	default:
 		flag.Usage()
 		os.Exit(2)
 	}
+	if err != nil {
+		flags.Fatal(err)
+	}
 }
 
-func doCapture(cfg lsnuma.Config, workloadName, protoName, scaleName, out string) {
-	scale, err := workload.ParseScale(scaleName)
-	if err != nil {
-		fatal(err)
-	}
+func doCapture(cfg lsnuma.Config, workloadName, protoName string, scale lsnuma.Scale, out string) error {
 	m, err := lsnuma.NewEngineMachine(cfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	w, err := lsnuma.NewWorkload(workloadName, scale, m.Nodes())
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	progs, err := w.Programs(m)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	f, err := os.Create(out)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer f.Close()
 	tw, err := trace.NewWriter(f, m.Nodes())
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	errFn := trace.Capture(m, tw)
 	if err := m.Run(progs); err != nil {
-		fatal(err)
+		return err
 	}
 	if err := errFn(); err != nil {
-		fatal(err)
+		return err
 	}
 	if err := tw.Flush(); err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Printf("captured %d operations from %s (%s) into %s\n",
 		tw.Len(), workloadName, protoName, out)
+	return nil
 }
 
-func doReplay(cfg lsnuma.Config, path, protoName string) {
+func doReplay(cfg lsnuma.Config, path, protoName string) error {
 	f, err := os.Open(path)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer f.Close()
 	tr, err := trace.Read(f)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	m, err := lsnuma.NewEngineMachine(cfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if err := m.Run(tr.Programs()); err != nil {
-		fatal(err)
+		return err
 	}
 	st := m.Stats()
 	sum := st.Sum()
 	fmt.Printf("replayed %d ops under %s: exec=%d busy=%d rstall=%d wstall=%d msgs=%d eliminated=%d\n",
 		len(tr.Ops), protoName, st.ExecTime(), sum.Busy, sum.ReadStall, sum.WriteStall,
 		st.TotalMsgs(), st.EliminatedOwnership)
+	return nil
 }
 
-func doInfo(path string) {
+func doInfo(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer f.Close()
 	tr, err := trace.Read(f)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	var loads, stores, rmws uint64
 	perCPU := make([]uint64, tr.CPUs)
@@ -152,9 +151,5 @@ func doInfo(path string) {
 	for cpu, n := range perCPU {
 		fmt.Printf("  cpu %d: %d ops\n", cpu, n)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "lstrace:", err)
-	os.Exit(1)
+	return nil
 }

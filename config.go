@@ -72,7 +72,7 @@ const (
 	// after the transaction.
 	CheckTouched CheckLevel = "touched"
 	// CheckFull is CheckTouched plus a whole-machine invariant sweep every
-	// CheckInterval operations and at the end of the run.
+	// 4,096 operations and at the end of the run.
 	CheckFull CheckLevel = "full"
 )
 
@@ -97,9 +97,6 @@ type Config struct {
 	BlockSize uint64
 	// PageSize is the physical page size for round-robin placement.
 	PageSize uint64
-	// MemTime, CtrlTime, HopDelay, BytesPerCycle are the latency
-	// parameters; zero values take the defaults.
-	MemTime, CtrlTime, HopDelay, BytesPerCycle int
 	// Mesh2D switches the interconnect from the paper's fixed-delay
 	// point-to-point network to a 2-D mesh whose traversal delay scales
 	// with Manhattan distance (an extension for distance-sensitive NUMA
@@ -145,9 +142,6 @@ type Config struct {
 	// structured error naming the block, CPUs, cache and directory states,
 	// and cycle.
 	Check CheckLevel
-	// CheckInterval is the full-sweep period in serviced operations under
-	// CheckFull (zero = the engine default, 4096).
-	CheckInterval uint64
 	// Faults injects deterministic faults, for validating the checker and
 	// the retry machinery. Comma-separated parts: at most one
 	// state-corruption class "class[@afterOp][:seed]" (flip-presence,
@@ -206,10 +200,6 @@ func WorkloadConfig(workload string) Config {
 	return DefaultConfig()
 }
 
-// maxCycles is every run's livelock guard (engine.Config.MaxCycles): a
-// processor whose clock passes it aborts the run.
-const maxCycles = 100_000_000_000
-
 // engineConfig lowers the public Config to the engine's configuration.
 func (c Config) engineConfig() (engine.Config, error) {
 	name := string(c.Protocol)
@@ -222,23 +212,10 @@ func (c Config) engineConfig() (engine.Config, error) {
 	if err != nil {
 		return engine.Config{}, err
 	}
-	timing := engine.DefaultTiming()
-	if c.MemTime > 0 {
-		timing.MemTime = c.MemTime
-	}
-	if c.CtrlTime > 0 {
-		timing.CtrlTime = c.CtrlTime
-	}
-	if c.HopDelay > 0 {
-		timing.HopDelay = c.HopDelay
-	}
-	if c.BytesPerCycle > 0 {
-		timing.BytesPerCycle = c.BytesPerCycle
-	}
+	topology := network.PointToPoint
 	if c.Mesh2D {
-		timing.Topology = network.Mesh2D
+		topology = network.Mesh2D
 	}
-	timing.Concentration = c.Concentration
 	dirFormat, err := directory.ParseFormat(c.DirFormat)
 	if err != nil {
 		return engine.Config{}, fmt.Errorf("lsnuma: %w", err)
@@ -270,15 +247,14 @@ func (c Config) engineConfig() (engine.Config, error) {
 			BlockSize: c.BlockSize, AccessTime: c.L2.AccessTime,
 		},
 		PageSize:          c.PageSize,
-		Timing:            timing,
+		Topology:          topology,
+		Concentration:     c.Concentration,
 		Protocol:          protocol.New(kind, c.Variant),
 		TrackFalseSharing: c.TrackFalseSharing,
 		SoftwareExclusive: softwareExclusive,
 		RelaxedWrites:     c.RelaxedWrites,
-		MaxCycles:         maxCycles,
 		Sched:             sched,
 		CheckLevel:        level,
-		CheckInterval:     c.CheckInterval,
 		FaultInjector:     injector,
 		DirMSHRs:          c.DirMSHRs,
 		Retry:             retry,

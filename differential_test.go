@@ -12,6 +12,7 @@ package lsnuma
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -109,7 +110,7 @@ func TestDifferentialMicros(t *testing.T) {
 				cfg := DefaultConfig()
 				cfg.Protocol = p
 				runBoth(t, cfg, func(c Config) (*Result, error) {
-					return RunWorkload(c, micro.New(kind, ScaleTest, c.Nodes), "test")
+					return runMachine(context.Background(), c, micro.New(kind, ScaleTest, c.Nodes), "test", nil)
 				})
 			})
 		}

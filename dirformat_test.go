@@ -144,7 +144,6 @@ func TestDirFormatBigMachine(t *testing.T) {
 	cfg.Protocol = Baseline
 	cfg.Check = CheckTouched
 	cfg.Mesh2D = true
-	cfg.HopDelay = 2
 	cfg.Concentration = 4
 	results := runFormats(t, cfg, func(c Config) (*Result, error) {
 		return Run(c, "mp3d", ScaleTest)

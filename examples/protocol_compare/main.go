@@ -8,25 +8,21 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
+	"os"
 
 	"lsnuma"
+	"lsnuma/internal/cli"
 	"lsnuma/internal/report"
-	"lsnuma/internal/workload"
 )
 
 func main() {
-	scaleName := flag.String("scale", "test", "problem size: test, small, paper")
-	flag.Parse()
+	flags := cli.New(flag.CommandLine, "protocol_compare", []string{"scale"})
+	flags.Parse(os.Args[1:])
 
-	scale, err := workload.ParseScale(*scaleName)
-	if err != nil {
-		log.Fatal(err)
-	}
 	for _, w := range lsnuma.Workloads() {
-		results, err := lsnuma.Compare(lsnuma.WorkloadConfig(w), w, scale)
+		results, err := lsnuma.Compare(lsnuma.WorkloadConfig(w), w, flags.Scale)
 		if err != nil {
-			log.Fatal(err)
+			flags.Fatal(err)
 		}
 		fmt.Println(report.BehaviorFigure(w, results))
 		fmt.Println()

@@ -12,6 +12,7 @@ package lsnuma
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"flag"
 	"fmt"
@@ -57,7 +58,7 @@ func goldenPoints() []goldenPoint {
 			cfg := DefaultConfig()
 			cfg.Protocol = p
 			pts = append(pts, goldenPoint{fmt.Sprintf("micro/%s/%s", kind, p), func() (*Result, error) {
-				return RunWorkload(cfg, micro.New(kind, ScaleTest, cfg.Nodes), "test")
+				return runMachine(context.Background(), cfg, micro.New(kind, ScaleTest, cfg.Nodes), "test", nil)
 			}})
 		}
 	}

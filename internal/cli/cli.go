@@ -1,7 +1,9 @@
 // Package cli is the flag table of the lsnuma command-line tools. Each
 // row declares one flag once — name, usage, default and, for a machine
 // flag, the lsnuma.Config field it sets — and each tool binds the rows
-// it offers. Adding or removing a knob is one edit here.
+// it offers. Adding or removing a knob is one edit here. The package
+// also holds what the rows drive: the standard runtime/pprof profilers
+// and the tools' one-line fatal error.
 package cli
 
 import (
@@ -10,11 +12,14 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"runtime"
+	"runtime/pprof"
 	"syscall"
 	"time"
 
 	"lsnuma"
 	"lsnuma/internal/version"
+	"lsnuma/internal/workload"
 )
 
 // Row groups, by flag name.
@@ -25,6 +30,8 @@ var (
 	Run = []string{"j", "timeout", "point-timeout"}
 	// Cache rows select the persistent result cache (see Flags.OpenCache).
 	Cache = []string{"cache", "cache-dir", "no-cache"}
+	// Profile rows name the profiles to write (see Flags.StartProfiles).
+	Profile = []string{"cpuprofile", "memprofile", "mutexprofile", "blockprofile"}
 )
 
 // Flags holds the values of one tool's rows.
@@ -34,7 +41,15 @@ type Flags struct {
 	machine     lsnuma.Config // the machine rows' values
 	machineRows []row         // the bound machine rows, which Apply copies
 	version     bool
+	scale       string // the -scale value, which Parse turns into Scale
 
+	// The profile rows' output files ("" = off) and, once
+	// StartProfiles has run, the function that writes them.
+	cpuProfile, memProfile, mutexProfile, blockProfile string
+	stopProfiles                                       func()
+
+	Workload     string
+	Scale        lsnuma.Scale
 	Parallelism  int
 	Timeout      time.Duration
 	PointTimeout time.Duration
@@ -66,6 +81,10 @@ var table = []row{
 		field: func(c *lsnuma.Config) any { return &c.Scheduler }},
 	{name: "dirformat", usage: "directory wire format: full (default), limited:i, or coarse:K",
 		field: func(c *lsnuma.Config) any { return &c.DirFormat }},
+	{name: "workload", usage: "workload: mp3d, cholesky, lu, oltp",
+		value: func(f *Flags) any { return &f.Workload }},
+	{name: "scale", usage: "problem size: test, small, paper",
+		value: func(f *Flags) any { return &f.scale }},
 	{name: "j", usage: "simulations to run concurrently (0 = all cores)",
 		value: func(f *Flags) any { return &f.Parallelism }},
 	{name: "timeout", usage: "abort the whole run after this long (0 = no limit)",
@@ -78,6 +97,14 @@ var table = []row{
 		value: func(f *Flags) any { return &f.CacheDir }},
 	{name: "no-cache", usage: "disable the result cache even if -cache/-cache-dir is given",
 		value: func(f *Flags) any { return &f.NoCache }},
+	{name: "cpuprofile", usage: "write a CPU profile to this file",
+		value: func(f *Flags) any { return &f.cpuProfile }},
+	{name: "memprofile", usage: "write a heap profile to this file on exit",
+		value: func(f *Flags) any { return &f.memProfile }},
+	{name: "mutexprofile", usage: "write a mutex-contention profile to this file on exit",
+		value: func(f *Flags) any { return &f.mutexProfile }},
+	{name: "blockprofile", usage: "write a goroutine-blocking profile to this file on exit",
+		value: func(f *Flags) any { return &f.blockProfile }},
 	{name: "version", usage: "print the build version and exit",
 		value: func(f *Flags) any { return &f.version }},
 }
@@ -85,7 +112,8 @@ var table = []row{
 // New binds -version and the rows of the given groups on fs, for the
 // named tool.
 func New(fs *flag.FlagSet, tool string, groups ...[]string) *Flags {
-	f := &Flags{fs: fs, tool: tool, machine: lsnuma.Config{Check: lsnuma.CheckOff}}
+	f := &Flags{fs: fs, tool: tool, machine: lsnuma.Config{Check: lsnuma.CheckOff},
+		Workload: "mp3d", scale: "test"}
 	names := []string{"version"}
 	for _, g := range groups {
 		names = append(names, g...)
@@ -124,7 +152,7 @@ func lookup(name string) row {
 
 // Parse parses args into the bound rows, exiting with status 2 on a bad
 // flag (the flag set reports it), and handles -version: it prints the
-// tool's build version and exits.
+// tool's build version and exits. A -scale that names no scale is fatal.
 func (f *Flags) Parse(args []string) {
 	if err := f.fs.Parse(args); err != nil {
 		os.Exit(2)
@@ -132,6 +160,84 @@ func (f *Flags) Parse(args []string) {
 	if f.version {
 		fmt.Println(version.String(f.tool))
 		os.Exit(0)
+	}
+	scale, err := workload.ParseScale(f.scale)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Scale = scale
+}
+
+// Fatal writes the profiles (os.Exit skips deferred calls), prints err
+// on stderr as one line prefixed with the tool's name, and exits with
+// status 1.
+func (f *Flags) Fatal(err error) {
+	f.StopProfiles()
+	fmt.Fprintf(os.Stderr, "%s: %v\n", f.tool, err)
+	os.Exit(1)
+}
+
+// StartProfiles starts the CPU profile and arms the mutex and block
+// profilers, each when its row names a file; both sample every event,
+// which is cheap at the scheduler's handoff rate. StopProfiles writes
+// what was started. A CPU profile that cannot start is fatal.
+func (f *Flags) StartProfiles() {
+	var cpu *os.File
+	if f.cpuProfile != "" {
+		file, err := os.Create(f.cpuProfile)
+		if err != nil {
+			f.Fatal(fmt.Errorf("cpu profile: %w", err))
+		}
+		if err := pprof.StartCPUProfile(file); err != nil {
+			file.Close()
+			f.Fatal(fmt.Errorf("cpu profile: %w", err))
+		}
+		cpu = file
+	}
+	if f.mutexProfile != "" {
+		runtime.SetMutexProfileFraction(1)
+	}
+	if f.blockProfile != "" {
+		runtime.SetBlockProfileRate(1)
+	}
+	f.stopProfiles = func() {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			cpu.Close()
+		}
+		if f.memProfile != "" {
+			runtime.GC() // materialize the final live set
+			writeProfile("heap", f.memProfile)
+		}
+		writeProfile("mutex", f.mutexProfile)
+		writeProfile("block", f.blockProfile)
+	}
+}
+
+// StopProfiles ends the CPU profile and writes the heap, mutex and block
+// profiles. It does nothing before StartProfiles or a second time.
+func (f *Flags) StopProfiles() {
+	if stop := f.stopProfiles; stop != nil {
+		f.stopProfiles = nil
+		stop()
+	}
+}
+
+// writeProfile dumps the named runtime profile to file; a "" file means
+// the profile was not requested. Failures are reported, not fatal: the
+// run itself already finished.
+func writeProfile(name, file string) {
+	if file == "" {
+		return
+	}
+	f, err := os.Create(file)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%s profile: %v\n", name, err)
+		return
+	}
+	defer f.Close()
+	if err := pprof.Lookup(name).WriteTo(f, 0); err != nil {
+		fmt.Fprintf(os.Stderr, "%s profile: %v\n", name, err)
 	}
 }
 

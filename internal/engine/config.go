@@ -27,48 +27,23 @@ import (
 	"lsnuma/internal/protocol"
 )
 
-// Timing holds the latency parameters of Table 1 / Figure 2.
-type Timing struct {
-	// MemTime is the memory (DRAM) access time in cycles.
-	MemTime int
-	// CtrlTime is the memory-controller occupancy per request in cycles.
-	CtrlTime int
-	// HopDelay is the network traversal time per hop in cycles.
-	HopDelay int
-	// BytesPerCycle is the link bandwidth for contention modeling.
-	BytesPerCycle int
-	// Topology selects the interconnect hop model (the paper's
-	// point-to-point by default; Mesh2D scales delay with Manhattan
-	// distance).
-	Topology network.Topology
-	// Concentration is the number of nodes sharing one mesh router (a
-	// concentrated mesh): hop counts are Manhattan distances on the router
-	// grid, so 256-1024-node machines keep realistic diameters. 0 or 1
-	// means one node per router. Mesh2D only.
-	Concentration int
-}
+// The latencies of Table 1 / Figure 2, in cycles: memory 40 and
+// controller 20 as in Table 1, with a 60-cycle network hop chosen so the
+// composite access latencies land near the paper's Table 1 targets —
+// local ≈ 100, home ≈ 220, remote (read-on-dirty, 4 hops) ≈ 420 cycles
+// (TestCompositeLatencies). The paper's per-component and composite
+// figures are mutually inconsistent as printed; the composites are what
+// drive behaviour, so they take precedence.
+const (
+	memTime       = 40 // memory (DRAM) access time
+	ctrlTime      = 20 // memory-controller occupancy per request
+	hopDelay      = 60 // network traversal time per hop
+	bytesPerCycle = 8  // link bandwidth for contention modeling
+)
 
-// DefaultTiming returns the default latency parameters: memory 40 cycles
-// and controller 20 cycles as in Table 1, with a 60-cycle network hop
-// chosen so the composite access latencies land near the paper's Table 1
-// targets — local ≈ 100, home ≈ 220, remote (read-on-dirty, 4 hops)
-// ≈ 420 cycles (verified by a test). The paper's per-component and
-// composite figures are mutually inconsistent as printed; the composites
-// are what drive behaviour, so they take precedence.
-func DefaultTiming() Timing {
-	return Timing{MemTime: 40, CtrlTime: 20, HopDelay: 60, BytesPerCycle: 8}
-}
-
-// Validate checks the timing parameters.
-func (t Timing) Validate() error {
-	if t.MemTime < 0 || t.CtrlTime < 0 || t.HopDelay < 0 {
-		return fmt.Errorf("engine: negative latency in %+v", t)
-	}
-	if t.BytesPerCycle < 1 {
-		return fmt.Errorf("engine: bytes per cycle %d < 1", t.BytesPerCycle)
-	}
-	return nil
-}
+// defaultMaxCycles is the livelock guard of a Config whose MaxCycles is
+// zero.
+const defaultMaxCycles = 100_000_000_000
 
 // Sched selects how the engine's one scheduling path runs. Both settings
 // service operations in the same order and produce byte-identical
@@ -125,15 +100,23 @@ type Config struct {
 	L1, L2 cache.Config
 	// PageSize is the physical page size for round-robin placement.
 	PageSize uint64
-	// Timing holds the latency parameters.
-	Timing Timing
+	// Topology selects the interconnect hop model: the paper's
+	// point-to-point network (the zero value) or a 2-D mesh whose
+	// traversal delay scales with Manhattan distance.
+	Topology network.Topology
+	// Concentration is the number of nodes sharing one mesh router (a
+	// concentrated mesh): hop counts are Manhattan distances on the router
+	// grid, so 256-1024-node machines keep realistic diameters. 0 or 1
+	// means one node per router. Mesh2D only.
+	Concentration int
 	// Protocol selects the coherence policy (Baseline, AD or LS).
 	Protocol protocol.Protocol
 	// TrackFalseSharing enables the word-granularity Dubois classifier
 	// (Table 4). Costs memory proportional to the touched address space.
 	TrackFalseSharing bool
 	// MaxCycles aborts a run whose processors exceed this many cycles
-	// (a guard against livelocked workloads). Zero means no limit.
+	// (a guard against livelocked workloads). Zero means the default
+	// (100,000,000,000 cycles).
 	MaxCycles uint64
 	// SoftwareExclusive honours exclusive-read annotations (Proc.ReadEx
 	// and the load half of RMW): the read request is combined with the
@@ -231,7 +214,7 @@ func (c Config) Validate() error {
 	if c.PageSize < c.L2.BlockSize {
 		return fmt.Errorf("engine: page size %d smaller than block size %d", c.PageSize, c.L2.BlockSize)
 	}
-	if err := c.Timing.Validate(); err != nil {
+	if err := c.network().Validate(); err != nil {
 		return err
 	}
 	if c.Protocol == nil {
@@ -250,4 +233,15 @@ func (c Config) Validate() error {
 		return err
 	}
 	return nil
+}
+
+// network returns the interconnect configuration of the machine.
+func (c Config) network() network.Config {
+	return network.Config{
+		HopDelay:      hopDelay,
+		BytesPerCycle: bytesPerCycle,
+		BlockSize:     c.L2.BlockSize,
+		Topology:      c.Topology,
+		Concentration: c.Concentration,
+	}
 }

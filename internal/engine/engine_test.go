@@ -7,6 +7,7 @@ import (
 	"lsnuma/internal/cache"
 	"lsnuma/internal/directory"
 	"lsnuma/internal/memory"
+	"lsnuma/internal/network"
 	"lsnuma/internal/protocol"
 )
 
@@ -18,7 +19,6 @@ func testConfig(kind protocol.Kind, v protocol.Variant) Config {
 		L1:        cache.Config{Size: 4 * 1024, Assoc: 1, BlockSize: 16, AccessTime: 1},
 		L2:        cache.Config{Size: 64 * 1024, Assoc: 1, BlockSize: 16, AccessTime: 10},
 		PageSize:  4096,
-		Timing:    DefaultTiming(),
 		Protocol:  protocol.New(kind, v),
 		MaxCycles: 200_000_000,
 	}
@@ -59,8 +59,8 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.PageSize = 1000 },
 		func(c *Config) { c.PageSize = 0 },
 		func(c *Config) { c.PageSize = 8 },
-		func(c *Config) { c.Timing.BytesPerCycle = 0 },
-		func(c *Config) { c.Timing.MemTime = -1 },
+		func(c *Config) { c.Concentration = 4 }, // concentration needs the mesh
+		func(c *Config) { c.Topology, c.Concentration = network.Mesh2D, -1 },
 		func(c *Config) { c.Protocol = nil },
 	}
 	for i, mutate := range cases {

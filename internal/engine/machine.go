@@ -186,15 +186,12 @@ func NewMachine(cfg Config) (*Machine, error) {
 		return nil, err
 	}
 	st := stats.New(cfg.Nodes)
-	nw, err := network.New(network.Config{
-		HopDelay:      cfg.Timing.HopDelay,
-		BytesPerCycle: cfg.Timing.BytesPerCycle,
-		BlockSize:     cfg.L2.BlockSize,
-		Topology:      cfg.Timing.Topology,
-		Concentration: cfg.Timing.Concentration,
-	}, cfg.Nodes, st)
+	nw, err := network.New(cfg.network(), cfg.Nodes, st)
 	if err != nil {
 		return nil, err
+	}
+	if cfg.MaxCycles == 0 {
+		cfg.MaxCycles = defaultMaxCycles
 	}
 	m := &Machine{
 		cfg:    cfg,
@@ -361,7 +358,7 @@ func (m *Machine) popServe() *op {
 	for {
 		next := m.h.pop()
 		m.servicing = next
-		if m.cfg.MaxCycles > 0 && next.at > m.cfg.MaxCycles {
+		if next.at > m.cfg.MaxCycles {
 			panic(&livelockError{cpu: next.proc.id, max: m.cfg.MaxCycles})
 		}
 		m.service(next)

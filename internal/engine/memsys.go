@@ -186,7 +186,7 @@ func (m *Machine) readMiss(p *Proc, block memory.Addr, at uint64, wantExcl bool)
 	switch e.State {
 	case directory.Uncached, directory.Shared:
 		// Data comes from home memory.
-		t = m.ctrl(H, t, m.cfg.Timing.MemTime)
+		t = m.ctrl(H, t, memTime)
 		grantExcl := wantExcl ||
 			(e.State == directory.Uncached && proto.GrantExclusiveOnRead(e, R))
 		if grantExcl {
@@ -216,7 +216,7 @@ func (m *Machine) readMiss(p *Proc, block memory.Addr, at uint64, wantExcl bool)
 		}
 		ownerState := m.nodes[O].caches.State(block)
 		t = m.send(H, O, stats.MsgReadFwd, t)
-		t = m.ctrl(O, t, m.cfg.Timing.CtrlTime+m.cfg.L2.AccessTime)
+		t = m.ctrl(O, t, ctrlTime+m.cfg.L2.AccessTime)
 
 		if ownerState == cache.LStemp {
 			// The exclusive grant was not a load-store access after all
@@ -243,7 +243,7 @@ func (m *Machine) readMiss(p *Proc, block memory.Addr, at uint64, wantExcl bool)
 			// owner writes back through the home, which replies to the
 			// requester.
 			t = m.send(O, H, stats.MsgSharingWB, t)
-			t = m.ctrl(H, t, m.cfg.Timing.CtrlTime+m.cfg.Timing.MemTime)
+			t = m.ctrl(H, t, ctrlTime+memTime)
 			if wantExcl || proto.GrantExclusiveOnRead(e, R) {
 				// Migratory/LS handling: the read is combined with the
 				// ownership acquisition — the previous owner is
@@ -268,7 +268,7 @@ func (m *Machine) readMiss(p *Proc, block memory.Addr, at uint64, wantExcl bool)
 	}
 
 	proto.NoteRead(e, R)
-	t = m.ctrl(R, t, m.cfg.Timing.CtrlTime)
+	t = m.ctrl(R, t, ctrlTime)
 	m.fill(p, block, fill, t)
 	m.complete(t)
 	return t
@@ -302,7 +302,7 @@ func (m *Machine) upgrade(p *Proc, block memory.Addr, at uint64) uint64 {
 	m.clearSharers(e)
 
 	t = m.send(H, R, stats.MsgOwnAck, t)
-	t = m.ctrl(R, t, m.cfg.Timing.CtrlTime)
+	t = m.ctrl(R, t, ctrlTime)
 	m.nodes[R].caches.Upgrade(block)
 	m.complete(t)
 	return t
@@ -326,13 +326,13 @@ func (m *Machine) writeMiss(p *Proc, block memory.Addr, at uint64) uint64 {
 
 	switch e.State {
 	case directory.Uncached:
-		t = m.ctrl(H, t, m.cfg.Timing.MemTime)
+		t = m.ctrl(H, t, memTime)
 		t = m.send(H, R, stats.MsgWriteReply, t)
 
 	case directory.Shared:
 		m.st.WritesToShared++
 		t = m.invalidateSharers(e, block, R, H, t)
-		t = m.ctrl(H, t, m.cfg.Timing.MemTime)
+		t = m.ctrl(H, t, memTime)
 		t = m.send(H, R, stats.MsgWriteReply, t)
 
 	case directory.Dirty, directory.Excl:
@@ -342,7 +342,7 @@ func (m *Machine) writeMiss(p *Proc, block memory.Addr, at uint64) uint64 {
 		}
 		ownerState := m.nodes[O].caches.State(block)
 		t = m.send(H, O, stats.MsgWriteFwd, t)
-		t = m.ctrl(O, t, m.cfg.Timing.CtrlTime+m.cfg.L2.AccessTime)
+		t = m.ctrl(O, t, ctrlTime+m.cfg.L2.AccessTime)
 		if ownerState == cache.LStemp {
 			// Foreign write to an unexercised exclusive grant: failed
 			// prediction (Section 3.1, case 2). The copy is clean, so
@@ -352,13 +352,13 @@ func (m *Machine) writeMiss(p *Proc, block memory.Addr, at uint64) uint64 {
 			m.loseCopy(O, block, true)
 			t = m.send(O, H, stats.MsgInvalAck, t)
 			m.st.Invalidations++
-			t = m.ctrl(H, t, m.cfg.Timing.MemTime)
+			t = m.ctrl(H, t, memTime)
 			t = m.send(H, R, stats.MsgWriteReply, t)
 		} else {
 			// Dirty transfer through the home (4 hops).
 			m.loseCopy(O, block, true)
 			t = m.send(O, H, stats.MsgWriteback, t)
-			t = m.ctrl(H, t, m.cfg.Timing.CtrlTime+m.cfg.Timing.MemTime)
+			t = m.ctrl(H, t, ctrlTime+memTime)
 			t = m.send(H, R, stats.MsgWriteReply, t)
 		}
 	}
@@ -367,7 +367,7 @@ func (m *Machine) writeMiss(p *Proc, block memory.Addr, at uint64) uint64 {
 	e.Owner = R
 	m.clearSharers(e)
 
-	t = m.ctrl(R, t, m.cfg.Timing.CtrlTime)
+	t = m.ctrl(R, t, ctrlTime)
 	m.fill(p, block, cache.Modified, t)
 	m.complete(t)
 	return t
@@ -385,7 +385,7 @@ func (m *Machine) invalidateSharers(e *directory.Entry, block memory.Addr, keep,
 		}
 		m.st.Invalidations++
 		ti := m.send(H, s, stats.MsgInval, t)
-		ti = m.ctrl(s, ti, m.cfg.Timing.CtrlTime)
+		ti = m.ctrl(s, ti, ctrlTime)
 		if m.faults == nil || !m.faults.DropInvalidation(s, block, m.opCount, t) {
 			m.loseCopy(s, block, true)
 		}
@@ -471,12 +471,12 @@ func (m *Machine) fill(p *Proc, block memory.Addr, s cache.State, t uint64) {
 			msg = stats.MsgReplHint
 		}
 		tv := m.send(p.id, vHome, msg, t)
-		m.ctrl(vHome, tv, m.cfg.Timing.CtrlTime+m.cfg.Timing.MemTime)
+		m.ctrl(vHome, tv, ctrlTime+memTime)
 		ve.State = directory.Uncached
 		ve.Owner = memory.NoNode
 	case cache.Shared:
 		tv := m.send(p.id, vHome, stats.MsgReplHint, t)
-		m.ctrl(vHome, tv, m.cfg.Timing.CtrlTime)
+		m.ctrl(vHome, tv, ctrlTime)
 		ve.Sharers.Remove(p.id)
 		if ve.Sharers.Empty() {
 			ve.State = directory.Uncached

@@ -43,7 +43,6 @@ func mcMachine(t testing.TB, kind protocol.Kind, v protocol.Variant) *Machine {
 		L1:       cache.Config{Size: 16, Assoc: 1, BlockSize: 16, AccessTime: 1},
 		L2:       cache.Config{Size: 64, Assoc: 1, BlockSize: 16, AccessTime: 10},
 		PageSize: 4096,
-		Timing:   DefaultTiming(),
 		Protocol: protocol.New(kind, v),
 	})
 	if err != nil {

@@ -215,7 +215,7 @@ func (p *Proc) runInline(o *op) bool {
 		return false
 	}
 	m := p.m
-	if m.cfg.MaxCycles > 0 && o.at > m.cfg.MaxCycles {
+	if o.at > m.cfg.MaxCycles {
 		return false
 	}
 	if !m.layout.SameBlock(o.addr, o.addr+memory.Addr(o.size)-1) {

@@ -254,7 +254,7 @@ func (m *Machine) request(p *Proc, block memory.Addr, H memory.NodeID, typ stats
 	if r := m.resil; r != nil && r.mshrs != nil {
 		t = m.acquire(p, block, H, typ, t)
 	}
-	return m.ctrl(H, t, m.cfg.Timing.CtrlTime)
+	return m.ctrl(H, t, ctrlTime)
 }
 
 // acquire claims a home transaction buffer for a request that arrived at

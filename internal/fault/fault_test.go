@@ -39,7 +39,6 @@ func testConfig(serial bool, inj *fault.Injector) engine.Config {
 		L1:            cache.Config{Size: 4 * 1024, Assoc: 1, BlockSize: 16, AccessTime: 1},
 		L2:            cache.Config{Size: 64 * 1024, Assoc: 1, BlockSize: 16, AccessTime: 10},
 		PageSize:      4096,
-		Timing:        engine.DefaultTiming(),
 		Protocol:      protocol.New(protocol.LS, protocol.Variant{}),
 		MaxCycles:     200_000_000,
 		Sched:         sched,

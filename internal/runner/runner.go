@@ -49,23 +49,20 @@ type PanicError struct {
 
 func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
 
-// Run executes jobs 0..n-1 on at most `parallelism` concurrent workers
-// (<= 0 selects runtime.GOMAXPROCS(0)) and returns the per-job errors at
-// their job's index (nil for jobs that succeeded). The second return
-// value aggregates all failures via errors.Join, each wrapped in a
+// RunEach executes jobs 0..n-1 on at most `parallelism` concurrent
+// workers (<= 0 selects runtime.GOMAXPROCS(0)) and returns the per-job
+// errors at their job's index (nil for jobs that succeeded). The second
+// return value aggregates all failures via errors.Join, each wrapped in a
 // *JobError; it is nil when every job succeeded.
 //
 // All jobs run even if some fail. If ctx is cancelled, jobs not yet
 // started are skipped and their slot records ctx.Err().
-func Run(ctx context.Context, n, parallelism int, job func(ctx context.Context, i int) error) ([]error, error) {
-	return RunEach(ctx, n, parallelism, 0, job)
-}
-
-// RunEach is Run with a per-job wall-clock deadline: when `each` is
-// positive, every job receives a context that is cancelled `each` after
-// the job starts, independent of ctx's own lifetime. A job that outlives
-// its deadline is expected to observe its context and return the
-// context's error; the runner itself never kills a job.
+//
+// When `each` is positive, every job receives a context that is
+// cancelled `each` after the job starts, independent of ctx's own
+// lifetime; zero imposes no per-job deadline. A job that outlives its
+// deadline is expected to observe its context and return the context's
+// error; the runner itself never kills a job.
 func RunEach(ctx context.Context, n, parallelism int, each time.Duration, job func(ctx context.Context, i int) error) ([]error, error) {
 	errs := make([]error, n)
 	if n == 0 {

@@ -14,7 +14,7 @@ import (
 func TestRunAllJobsComplete(t *testing.T) {
 	const n = 50
 	var done [n]atomic.Bool
-	errs, err := Run(context.Background(), n, 8, func(_ context.Context, i int) error {
+	errs, err := RunEach(context.Background(), n, 8, 0, func(_ context.Context, i int) error {
 		done[i].Store(true)
 		return nil
 	})
@@ -37,7 +37,7 @@ func TestErrorAggregation(t *testing.T) {
 	const n = 20
 	boom := errors.New("boom")
 	var ran atomic.Int32
-	errs, err := Run(context.Background(), n, 4, func(_ context.Context, i int) error {
+	errs, err := RunEach(context.Background(), n, 4, 0, func(_ context.Context, i int) error {
 		ran.Add(1)
 		if i == 3 || i == 17 {
 			return fmt.Errorf("point %d: %w", i, boom)
@@ -67,7 +67,7 @@ func TestErrorAggregation(t *testing.T) {
 
 // TestPanicIsolation: a panicking job is reported as that job's error.
 func TestPanicIsolation(t *testing.T) {
-	errs, err := Run(context.Background(), 3, 2, func(_ context.Context, i int) error {
+	errs, err := RunEach(context.Background(), 3, 2, 0, func(_ context.Context, i int) error {
 		if i == 1 {
 			panic("simulated engine bug")
 		}
@@ -89,7 +89,7 @@ func TestPanicIsolation(t *testing.T) {
 // sweep diagnostics can point at the faulty frame instead of just saying
 // "panic".
 func TestPanicStackCapture(t *testing.T) {
-	errs, _ := Run(context.Background(), 1, 1, func(_ context.Context, i int) error {
+	errs, _ := RunEach(context.Background(), 1, 1, 0, func(_ context.Context, i int) error {
 		panicForStackCapture()
 		return nil
 	})
@@ -121,7 +121,7 @@ func TestCancellationMidSweep(t *testing.T) {
 	defer cancel()
 	const n = 32
 	var started atomic.Int32
-	errs, err := Run(ctx, n, 2, func(ctx context.Context, i int) error {
+	errs, err := RunEach(ctx, n, 2, 0, func(ctx context.Context, i int) error {
 		if started.Add(1) == 2 {
 			cancel() // cancel while the first jobs are still running
 		}
@@ -162,7 +162,7 @@ func TestCancellationMidSweep(t *testing.T) {
 func TestWorkerPoolBounding(t *testing.T) {
 	const n, parallelism = 40, 3
 	var cur, max atomic.Int32
-	_, err := Run(context.Background(), n, parallelism, func(_ context.Context, i int) error {
+	_, err := RunEach(context.Background(), n, parallelism, 0, func(_ context.Context, i int) error {
 		c := cur.Add(1)
 		for {
 			m := max.Load()
@@ -186,7 +186,7 @@ func TestWorkerPoolBounding(t *testing.T) {
 // still completes everything.
 func TestParallelismDefaults(t *testing.T) {
 	for _, p := range []int{0, -1, 1000} {
-		errs, err := Run(context.Background(), 5, p, func(_ context.Context, i int) error { return nil })
+		errs, err := RunEach(context.Background(), 5, p, 0, func(_ context.Context, i int) error { return nil })
 		if err != nil || len(errs) != 5 {
 			t.Errorf("parallelism=%d: errs=%v err=%v", p, errs, err)
 		}
@@ -206,7 +206,7 @@ func TestConcurrencyOverlap(t *testing.T) {
 		wg.Wait()
 		close(done)
 	}()
-	_, err := Run(context.Background(), n, n, func(_ context.Context, i int) error {
+	_, err := RunEach(context.Background(), n, n, 0, func(_ context.Context, i int) error {
 		wg.Done()
 		select {
 		case <-done:

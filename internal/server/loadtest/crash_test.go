@@ -54,12 +54,12 @@ func TestCrashRestartResumes(t *testing.T) {
 	cacheDir := filepath.Join(stateDir, "cache")
 	ctx := context.Background()
 
-	grid, err := lsnuma.SweepGrid(lsnuma.SweepBlock, lsnuma.DefaultConfig())
+	_, points, err := lsnuma.SweepPoints(lsnuma.SweepBlock, lsnuma.DefaultConfig(), "mp3d", lsnuma.ScaleTest)
 	if err != nil {
 		t.Fatal(err)
 	}
 	nproto := len(lsnuma.Protocols())
-	totalPoints := len(grid) * nproto
+	totalPoints := len(points)
 
 	// Incarnation 1: journaled daemon, killed after the first cell. The
 	// RunAll wrapper makes the crash deterministic: once the first

@@ -80,10 +80,8 @@ type Metrics struct {
 	JournalCorrupt atomic.Uint64 // corrupt journal records skipped at startup
 
 	// jobDurEWMAms is an exponentially-weighted moving average of job
-	// wall time, feeding the Retry-After estimate on 429s. retrySeed is
-	// the assumed job duration before the first completion lands.
+	// wall time, feeding the Retry-After estimate on 429s.
 	jobDurEWMAms atomic.Uint64
-	retrySeed    time.Duration
 
 	// tenantRejected counts per-tenant 429s. Cardinality is bounded by
 	// the fair queue's maxTenants plus an overflow bucket.
@@ -93,12 +91,12 @@ type Metrics struct {
 	hist map[string]*histogram
 }
 
-func newMetrics(retrySeed time.Duration) *Metrics {
-	if retrySeed <= 0 {
-		retrySeed = time.Second
-	}
+// retrySeed is the assumed job duration of the Retry-After estimate
+// before the first job completes.
+const retrySeed = time.Second
+
+func newMetrics() *Metrics {
 	m := &Metrics{
-		retrySeed:      retrySeed,
 		tenantRejected: make(map[string]uint64),
 		hist:           make(map[string]*histogram, len(endpoints)),
 	}
@@ -145,13 +143,13 @@ func (m *Metrics) observe(endpoint string, d time.Duration) {
 // retryAfterSeconds estimates how long a rejected client should back
 // off: the queue ahead of it, in units of average job time over the
 // available slots, floored at one second. Before the first job
-// completes the EWMA is empty and the configured seed stands in — the
-// estimate still scales with queue depth on a cold daemon instead of
-// collapsing to the floor.
+// completes the EWMA is empty and retrySeed stands in — the estimate
+// still scales with queue depth on a cold daemon instead of collapsing
+// to the floor.
 func (m *Metrics) retryAfterSeconds(queued int64, slots int) int {
 	ewma := time.Duration(m.jobDurEWMAms.Load()) * time.Millisecond
 	if ewma == 0 {
-		ewma = m.retrySeed
+		ewma = retrySeed
 	}
 	if slots < 1 {
 		slots = 1

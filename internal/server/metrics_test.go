@@ -6,22 +6,18 @@ import (
 )
 
 // TestRetryAfterColdStart: before any job completes the EWMA is empty;
-// the estimate must still scale with queue depth using the configured
-// seed instead of collapsing to the 1-second floor.
+// the estimate must still scale with queue depth, at the one-second
+// seed per job, instead of collapsing to the floor.
 func TestRetryAfterColdStart(t *testing.T) {
-	m := newMetrics(2 * time.Second)
+	m := newMetrics()
 	// queued ≫ slots on a cold daemon: 16 queued jobs over 2 slots at
-	// the 2 s seed is (16+1)*2/2 = 17 s of estimated backlog.
-	if got := m.retryAfterSeconds(16, 2); got != 17 {
-		t.Fatalf("cold retryAfterSeconds(16, 2) = %d, want 17 (seed-scaled)", got)
+	// the 1 s seed is (16+1)*1/2 = 8.5 s of estimated backlog, rounded
+	// up.
+	if got := m.retryAfterSeconds(16, 2); got != 9 {
+		t.Fatalf("cold retryAfterSeconds(16, 2) = %d, want 9 (seed-scaled)", got)
 	}
 	if got := m.retryAfterSeconds(0, 2); got != 1 {
 		t.Fatalf("cold retryAfterSeconds(0, 2) = %d, want 1", got)
-	}
-	// The default seed is one second.
-	d := newMetrics(0)
-	if got := d.retryAfterSeconds(16, 2); got != 9 {
-		t.Fatalf("default-seed retryAfterSeconds(16, 2) = %d, want 9", got)
 	}
 	// Once a job completes, the observed EWMA takes over from the seed.
 	m.observe("sweep", 8*time.Second)
@@ -34,7 +30,7 @@ func TestRetryAfterColdStart(t *testing.T) {
 // tenants beyond the fair queue's bound into "other" instead of growing
 // the metric space without limit.
 func TestTenantRejectCardinality(t *testing.T) {
-	m := newMetrics(0)
+	m := newMetrics()
 	for i := 0; i < maxTenants+10; i++ {
 		m.rejectTenant(string(rune('A'+i%26)) + string(rune('a'+i/26)))
 	}

@@ -63,11 +63,6 @@ type Config struct {
 	// per pass (weighted DRR — paying tenants go faster without starving
 	// anyone). Non-positive entries are ignored.
 	TenantQuanta map[string]int
-	// RetrySeed seeds the Retry-After estimate before the first job
-	// completes (default 1s). A deployment running paper-scale sweeps
-	// should raise it so cold-start 429s do not invite thundering
-	// re-arrivals.
-	RetrySeed time.Duration
 	// Journal, if non-nil, write-ahead-logs every accepted job and
 	// enables /api/v1/jobs plus crash recovery (Recover). Journaled
 	// jobs run detached from their client connection: a disconnect
@@ -134,7 +129,7 @@ func New(cfg Config) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:      cfg,
-		metrics:  newMetrics(cfg.RetrySeed),
+		metrics:  newMetrics(),
 		mux:      http.NewServeMux(),
 		fq:       newFairQueue(cfg.MaxJobs, cfg.Quantum, cfg.QueueDepth, cfg.TenantQuanta),
 		drainCh:  make(chan struct{}),

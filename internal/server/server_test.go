@@ -292,6 +292,11 @@ func TestBadRequests(t *testing.T) {
 		{"removed shard-count field", "/api/v1/point", `{"config":{"shards":2}}`},
 		// Likewise the map-backed directory, gone with its backend.
 		{"removed map-directory field", "/api/v1/point", `{"config":{"MapDirectory":true}}`},
+		// A configuration the interconnect refuses is refused at
+		// admission, not run and failed with a 500.
+		{"concentration without mesh", "/api/v1/point", `{"config":{"Concentration":4}}`},
+		// The Table 1 latencies are engine constants, not Config fields.
+		{"removed hop-delay field", "/api/v1/point", `{"config":{"HopDelay":2}}`},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))

@@ -16,7 +16,6 @@ func machine(t *testing.T, kind protocol.Kind, nodes int) *engine.Machine {
 		L1:        cache.Config{Size: 4 * 1024, Assoc: 1, BlockSize: 16, AccessTime: 1},
 		L2:        cache.Config{Size: 64 * 1024, Assoc: 1, BlockSize: 16, AccessTime: 10},
 		PageSize:  4096,
-		Timing:    engine.DefaultTiming(),
 		Protocol:  protocol.New(kind, protocol.Variant{}),
 		MaxCycles: 20_000_000_000,
 	})

@@ -15,7 +15,6 @@ func testMachine(t *testing.T) *engine.Machine {
 		L1:        cache.Config{Size: 1024, Assoc: 1, BlockSize: 16, AccessTime: 1},
 		L2:        cache.Config{Size: 4096, Assoc: 1, BlockSize: 16, AccessTime: 10},
 		PageSize:  4096,
-		Timing:    engine.DefaultTiming(),
 		Protocol:  protocol.New(protocol.LS, protocol.Variant{}),
 		MaxCycles: 100_000_000,
 	})

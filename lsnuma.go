@@ -59,12 +59,6 @@ func runNamed(ctx context.Context, cfg Config, workloadName string, scale Scale,
 	return runMachine(ctx, cfg, w, scale.String(), rec)
 }
 
-// RunWorkload simulates an arbitrary workload (including user-defined
-// ones implementing the workload interface via RunPrograms).
-func RunWorkload(cfg Config, w workload.Workload, scaleName string) (*Result, error) {
-	return runMachine(context.Background(), cfg, w, scaleName, nil)
-}
-
 // runMachine builds, runs and measures one simulation point on a fresh
 // machine, with rec (if non-nil) as its recorder hook
 // (engine.Machine.SetRecorder). When ctx is cancellable, the machine
@@ -117,7 +111,7 @@ type BuildPrograms func(m *engine.Machine) ([]engine.Program, error)
 // program that waits on another through a Go channel, mutex or WaitGroup
 // deadlocks the run.
 func RunPrograms(cfg Config, name string, build BuildPrograms) (*Result, error) {
-	return RunWorkload(cfg, customWorkload{name: name, build: build}, "custom")
+	return runMachine(context.Background(), cfg, customWorkload{name: name, build: build}, "custom", nil)
 }
 
 type customWorkload struct {

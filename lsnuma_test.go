@@ -172,7 +172,7 @@ func TestLUCorrectness(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Protocol = LS
 	w := lu.NewWithConfig(lu.ConfigFor(ScaleTest), cfg.Nodes)
-	_, err := RunWorkload(cfg, w, "test")
+	_, err := runMachine(context.Background(), cfg, w, "test", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestOLTPConservation(t *testing.T) {
 	cfg := OLTPConfig()
 	cfg.Protocol = LS
 	w := oltp.NewWithConfig(oltp.ConfigFor(ScaleTest), cfg.Nodes)
-	if _, err := RunWorkload(cfg, w, "test"); err != nil {
+	if _, err := runMachine(context.Background(), cfg, w, "test", nil); err != nil {
 		t.Fatal(err)
 	}
 	acc, tel, br := w.Balances()

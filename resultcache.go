@@ -102,12 +102,12 @@ func (rc *ResultCache) Stats() CacheStats {
 	}
 }
 
-// PointKey returns the content-addressed cache key of a simulation point:
+// pointKey returns the content-addressed cache key of a simulation point:
 // a canonical hash of the configuration (field-order independent, and
 // with the spec-string knobs spelled canonically, see canonicalSpecs),
 // the workload name, the scale, and the engine schema version. Two
 // points with equal keys produce byte-identical Results.
-func PointKey(cfg Config, workloadName string, scale Scale) (string, error) {
+func pointKey(cfg Config, workloadName string, scale Scale) (string, error) {
 	cj, err := resultcache.CanonicalJSON(canonicalSpecs(cfg))
 	if err != nil {
 		return "", err
@@ -231,7 +231,7 @@ func (rc *ResultCache) do(ctx context.Context, pt Point, compute func() (*Result
 		res, bundle, err = compute()
 		return
 	}
-	key, kerr := PointKey(pt.Config, pt.Workload, pt.Scale)
+	key, kerr := pointKey(pt.Config, pt.Workload, pt.Scale)
 	if kerr != nil {
 		rc.errs.Add(1)
 		res, bundle, err = compute()

@@ -37,7 +37,6 @@ func TestCheckedRunCatchesInjectedFault(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Protocol = LS
 	cfg.Check = CheckFull
-	cfg.CheckInterval = 1
 	cfg.Faults = "forge-owner@200"
 	_, err := Run(cfg, "mp3d", ScaleTest)
 	if err == nil {

@@ -225,36 +225,16 @@ func RunAll(ctx context.Context, points []Point, opt RunOptions) ([]PointResult,
 
 // Compare runs the workload under all three protocols with otherwise
 // identical configuration and returns the results keyed by protocol, in
-// the paper's order (Baseline, AD, LS). The protocols run concurrently;
-// see CompareContext for cancellation and parallelism control.
+// the paper's order (Baseline, AD, LS). The protocols run concurrently
+// and their Results are bit-identical to serial Run calls (the
+// simulations share no state); RunAll over ComparePoints adds
+// cancellation and parallelism control.
 func Compare(cfg Config, workloadName string, scale Scale) (map[Protocol]*Result, error) {
-	return CompareContext(context.Background(), cfg, workloadName, scale, RunOptions{})
-}
-
-// ComparePoints returns the points of a protocol comparison: cfg under
-// every protocol, in Protocols() order, labeled "workload/protocol".
-// It is the counterpart of SweepPoints for CompareContext and the lsnumad
-// daemon's compare jobs.
-func ComparePoints(cfg Config, workloadName string, scale Scale) []Point {
-	protos := Protocols()
-	points := make([]Point, len(protos))
-	for i, p := range protos {
-		c := cfg
-		c.Protocol = p
-		points[i] = Point{Label: fmt.Sprintf("%s/%s", workloadName, p), Config: c, Workload: workloadName, Scale: scale}
-	}
-	return points
-}
-
-// CompareContext is Compare with a cancellation context and explicit run
-// options. Results are independent per protocol and bit-identical to
-// serial Run calls (the simulations share no state).
-func CompareContext(ctx context.Context, cfg Config, workloadName string, scale Scale, opt RunOptions) (map[Protocol]*Result, error) {
-	results, err := RunAll(ctx, ComparePoints(cfg, workloadName, scale), opt)
+	results, err := RunAll(context.Background(), ComparePoints(cfg, workloadName, scale), RunOptions{})
 	if err != nil {
-		// Preserve Compare's historical contract: any failure fails the
-		// comparison (a protocol comparison with a missing column is
-		// useless), reporting the first failed point's error.
+		// Any failure fails the comparison (a protocol comparison with a
+		// missing column is useless), reporting the first failed point's
+		// error.
 		for _, r := range results {
 			if r.Err != nil {
 				return nil, r.Err
@@ -267,4 +247,19 @@ func CompareContext(ctx context.Context, cfg Config, workloadName string, scale 
 		out[r.Config.Protocol] = r.Result
 	}
 	return out, nil
+}
+
+// ComparePoints returns the points of a protocol comparison: cfg under
+// every protocol, in Protocols() order, labeled "workload/protocol".
+// It is the counterpart of SweepPoints for Compare and the lsnumad
+// daemon's compare jobs.
+func ComparePoints(cfg Config, workloadName string, scale Scale) []Point {
+	protos := Protocols()
+	points := make([]Point, len(protos))
+	for i, p := range protos {
+		c := cfg
+		c.Protocol = p
+		points[i] = Point{Label: fmt.Sprintf("%s/%s", workloadName, p), Config: c, Workload: workloadName, Scale: scale}
+	}
+	return points
 }

@@ -9,8 +9,9 @@ import (
 )
 
 // TestCompareParallelDeterminism guards against shared-state leaks between
-// concurrently running machines: every protocol's Result from the parallel
-// Compare must be bit-identical to a serial Run of the same configuration.
+// concurrently running machines: every protocol's Result from a parallel
+// RunAll over ComparePoints must be bit-identical to a serial Run of the
+// same configuration.
 func TestCompareParallelDeterminism(t *testing.T) {
 	for _, tc := range []struct {
 		workload string
@@ -30,15 +31,16 @@ func TestCompareParallelDeterminism(t *testing.T) {
 				}
 				serial[p] = res
 			}
-			parallel, err := CompareContext(context.Background(), tc.cfg, tc.workload, ScaleTest,
+			parallel, err := RunAll(context.Background(), ComparePoints(tc.cfg, tc.workload, ScaleTest),
 				RunOptions{Parallelism: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, p := range Protocols() {
-				if !reflect.DeepEqual(serial[p], parallel[p]) {
+			for _, pr := range parallel {
+				p := pr.Config.Protocol
+				if !reflect.DeepEqual(serial[p], pr.Result) {
 					t.Errorf("%s/%s: parallel Result differs from serial Result\nserial:   %+v\nparallel: %+v",
-						tc.workload, p, serial[p], parallel[p])
+						tc.workload, p, serial[p], pr.Result)
 				}
 			}
 		})
@@ -49,7 +51,7 @@ func TestCompareParallelDeterminism(t *testing.T) {
 // at test scale.
 func sweepPoints(tb testing.TB) []Point {
 	tb.Helper()
-	grid, err := SweepGrid(SweepBlock, DefaultConfig())
+	grid, err := sweepGrid(SweepBlock, DefaultConfig())
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -153,7 +155,7 @@ func TestSweepGridDefinitions(t *testing.T) {
 		SweepNodes: {"nodes=2", "nodes=4", "nodes=8", "nodes=16", "nodes=32"},
 	}
 	for _, param := range SweepParams() {
-		grid, err := SweepGrid(param, DefaultConfig())
+		grid, err := sweepGrid(param, DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +170,7 @@ func TestSweepGridDefinitions(t *testing.T) {
 			t.Errorf("%s grid = %v, want %v", param, labels, wantLabels[param])
 		}
 	}
-	if _, err := SweepGrid("bogus", DefaultConfig()); err == nil {
+	if _, err := sweepGrid("bogus", DefaultConfig()); err == nil {
 		t.Error("bogus sweep param accepted")
 	}
 	if _, err := ParseSweepParam("nope"); err == nil {

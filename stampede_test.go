@@ -271,7 +271,7 @@ func TestCacheCorruptionRace(t *testing.T) {
 		t.Run(damage.name, func(t *testing.T) {
 			dir := t.TempDir()
 			pt := cachePoints()[0]
-			key, err := PointKey(pt.Config, pt.Workload, pt.Scale)
+			key, err := pointKey(pt.Config, pt.Workload, pt.Scale)
 			if err != nil {
 				t.Fatal(err)
 			}

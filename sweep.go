@@ -39,11 +39,11 @@ type SweepPoint struct {
 	Config Config
 }
 
-// SweepGrid returns the labeled configurations of the Table 1 sweep along
+// sweepGrid returns the labeled configurations of the Table 1 sweep along
 // param, derived from base. This is the single definition of the grids
 // that cmd/lssweep prints, lsnumad's sweep jobs stream and the benchmark
-// harness samples.
-func SweepGrid(param SweepParam, base Config) ([]SweepPoint, error) {
+// harness samples, all through SweepPoints.
+func sweepGrid(param SweepParam, base Config) ([]SweepPoint, error) {
 	var points []SweepPoint
 	switch param {
 	case SweepBlock:
@@ -104,7 +104,7 @@ type SweepResult struct {
 // order. Exported so services (the lsnumad daemon) can run the exact
 // point set Sweep would and stream cells as they complete.
 func SweepPoints(param SweepParam, base Config, workloadName string, scale Scale) ([]SweepPoint, []Point, error) {
-	grid, err := SweepGrid(param, base)
+	grid, err := sweepGrid(param, base)
 	if err != nil {
 		return nil, nil, err
 	}
