@@ -27,7 +27,6 @@ import (
 	"lsnuma/internal/directory"
 	"lsnuma/internal/engine"
 	"lsnuma/internal/fault"
-	"lsnuma/internal/network"
 	"lsnuma/internal/protocol"
 	"lsnuma/internal/workload"
 )
@@ -97,16 +96,6 @@ type Config struct {
 	BlockSize uint64
 	// PageSize is the physical page size for round-robin placement.
 	PageSize uint64
-	// Mesh2D switches the interconnect from the paper's fixed-delay
-	// point-to-point network to a 2-D mesh whose traversal delay scales
-	// with Manhattan distance (an extension for distance-sensitive NUMA
-	// studies; mostly interesting at 16+ nodes).
-	Mesh2D bool
-	// Concentration attaches this many nodes to each mesh router (a
-	// concentrated mesh), keeping hop counts realistic at 256-1024 nodes:
-	// 1024 nodes with Concentration 4 route over a 16x16 router grid.
-	// Zero or one is the plain mesh; requires Mesh2D.
-	Concentration int
 	// DirFormat selects the directory wire format whose storage and
 	// invalidation behaviour the run models: "" or "full" (full-map
 	// presence vector, the paper's model), "limited:i" (Dir_i_B limited
@@ -212,9 +201,8 @@ func (c Config) engineConfig() (engine.Config, error) {
 	if err != nil {
 		return engine.Config{}, err
 	}
-	topology := network.PointToPoint
-	if c.Mesh2D {
-		topology = network.Mesh2D
+	if err := c.Variant.Validate(); err != nil {
+		return engine.Config{}, fmt.Errorf("lsnuma: %w", err)
 	}
 	dirFormat, err := directory.ParseFormat(c.DirFormat)
 	if err != nil {
@@ -247,8 +235,6 @@ func (c Config) engineConfig() (engine.Config, error) {
 			BlockSize: c.BlockSize, AccessTime: c.L2.AccessTime,
 		},
 		PageSize:          c.PageSize,
-		Topology:          topology,
-		Concentration:     c.Concentration,
 		Protocol:          protocol.New(kind, c.Variant),
 		TrackFalseSharing: c.TrackFalseSharing,
 		SoftwareExclusive: softwareExclusive,

@@ -143,8 +143,6 @@ func TestDirFormatBigMachine(t *testing.T) {
 	cfg.Nodes = 96
 	cfg.Protocol = Baseline
 	cfg.Check = CheckTouched
-	cfg.Mesh2D = true
-	cfg.Concentration = 4
 	results := runFormats(t, cfg, func(c Config) (*Result, error) {
 		return Run(c, "mp3d", ScaleTest)
 	})

@@ -248,9 +248,6 @@ func (e *Entry) Holders() Bitset {
 	}
 }
 
-// Holds reports whether node n caches the block according to the directory.
-func (e *Entry) Holds(n memory.NodeID) bool { return e.Holders().Has(n) }
-
 // CheckInvariant validates the entry's structural invariants.
 func (e *Entry) CheckInvariant() error {
 	switch e.State {

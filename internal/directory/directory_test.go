@@ -212,8 +212,8 @@ func TestHolders(t *testing.T) {
 	if h := e.Holders(); !h.Equal(Of(1, 2)) {
 		t.Errorf("Shared Holders = %v", h)
 	}
-	if !e.Holds(1) || e.Holds(0) {
-		t.Error("Holds wrong for Shared")
+	if h := e.Holders(); !h.Has(1) || h.Has(0) {
+		t.Error("Holders().Has wrong for Shared")
 	}
 	e = Entry{State: Dirty, Owner: 3}
 	if h := e.Holders(); !h.Has(3) || h.Count() != 1 {

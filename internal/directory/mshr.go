@@ -29,9 +29,6 @@ func NewTxnBuffers(homes, n int) *TxnBuffers {
 	return &TxnBuffers{slots: s}
 }
 
-// PerHome returns the number of buffers per home node.
-func (b *TxnBuffers) PerHome() int { return len(b.slots[0]) }
-
 // Reserve claims a free transaction buffer at home for a request arriving
 // at time `at`. It returns the claimed slot, or ok=false when every
 // buffer is busy (the home NACKs the request). A claimed slot stays busy

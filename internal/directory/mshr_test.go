@@ -4,10 +4,6 @@ import "testing"
 
 func TestTxnBuffersReserveComplete(t *testing.T) {
 	b := NewTxnBuffers(2, 2)
-	if b.PerHome() != 2 {
-		t.Fatalf("PerHome = %d, want 2", b.PerHome())
-	}
-
 	s0, ok := b.Reserve(0, 10)
 	if !ok {
 		t.Fatal("fresh pool refused a reservation")

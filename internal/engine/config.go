@@ -23,22 +23,19 @@ import (
 	"lsnuma/internal/check"
 	"lsnuma/internal/directory"
 	"lsnuma/internal/fault"
-	"lsnuma/internal/network"
 	"lsnuma/internal/protocol"
 )
 
 // The latencies of Table 1 / Figure 2, in cycles: memory 40 and
-// controller 20 as in Table 1, with a 60-cycle network hop chosen so the
-// composite access latencies land near the paper's Table 1 targets —
-// local ≈ 100, home ≈ 220, remote (read-on-dirty, 4 hops) ≈ 420 cycles
-// (TestCompositeLatencies). The paper's per-component and composite
-// figures are mutually inconsistent as printed; the composites are what
-// drive behaviour, so they take precedence.
+// controller 20 as in Table 1. With the network's 60-cycle hop
+// (internal/network) the composite access latencies land near the paper's
+// Table 1 targets — local ≈ 100, home ≈ 220, remote (read-on-dirty, 4
+// hops) ≈ 420 cycles (TestCompositeLatencies). The paper's per-component
+// and composite figures are mutually inconsistent as printed; the
+// composites are what drive behaviour, so they take precedence.
 const (
-	memTime       = 40 // memory (DRAM) access time
-	ctrlTime      = 20 // memory-controller occupancy per request
-	hopDelay      = 60 // network traversal time per hop
-	bytesPerCycle = 8  // link bandwidth for contention modeling
+	memTime  = 40 // memory (DRAM) access time
+	ctrlTime = 20 // memory-controller occupancy per request
 )
 
 // defaultMaxCycles is the livelock guard of a Config whose MaxCycles is
@@ -100,15 +97,6 @@ type Config struct {
 	L1, L2 cache.Config
 	// PageSize is the physical page size for round-robin placement.
 	PageSize uint64
-	// Topology selects the interconnect hop model: the paper's
-	// point-to-point network (the zero value) or a 2-D mesh whose
-	// traversal delay scales with Manhattan distance.
-	Topology network.Topology
-	// Concentration is the number of nodes sharing one mesh router (a
-	// concentrated mesh): hop counts are Manhattan distances on the router
-	// grid, so 256-1024-node machines keep realistic diameters. 0 or 1
-	// means one node per router. Mesh2D only.
-	Concentration int
 	// Protocol selects the coherence policy (Baseline, AD or LS).
 	Protocol protocol.Protocol
 	// TrackFalseSharing enables the word-granularity Dubois classifier
@@ -214,9 +202,6 @@ func (c Config) Validate() error {
 	if c.PageSize < c.L2.BlockSize {
 		return fmt.Errorf("engine: page size %d smaller than block size %d", c.PageSize, c.L2.BlockSize)
 	}
-	if err := c.network().Validate(); err != nil {
-		return err
-	}
 	if c.Protocol == nil {
 		return fmt.Errorf("engine: no protocol configured")
 	}
@@ -233,15 +218,4 @@ func (c Config) Validate() error {
 		return err
 	}
 	return nil
-}
-
-// network returns the interconnect configuration of the machine.
-func (c Config) network() network.Config {
-	return network.Config{
-		HopDelay:      hopDelay,
-		BytesPerCycle: bytesPerCycle,
-		BlockSize:     c.L2.BlockSize,
-		Topology:      c.Topology,
-		Concentration: c.Concentration,
-	}
 }

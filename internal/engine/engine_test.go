@@ -7,7 +7,6 @@ import (
 	"lsnuma/internal/cache"
 	"lsnuma/internal/directory"
 	"lsnuma/internal/memory"
-	"lsnuma/internal/network"
 	"lsnuma/internal/protocol"
 )
 
@@ -59,8 +58,6 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.PageSize = 1000 },
 		func(c *Config) { c.PageSize = 0 },
 		func(c *Config) { c.PageSize = 8 },
-		func(c *Config) { c.Concentration = 4 }, // concentration needs the mesh
-		func(c *Config) { c.Topology, c.Concentration = network.Mesh2D, -1 },
 		func(c *Config) { c.Protocol = nil },
 	}
 	for i, mutate := range cases {

@@ -186,7 +186,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 		return nil, err
 	}
 	st := stats.New(cfg.Nodes)
-	nw, err := network.New(cfg.network(), cfg.Nodes, st)
+	nw, err := network.New(cfg.L2.BlockSize, cfg.Nodes, st)
 	if err != nil {
 		return nil, err
 	}

@@ -96,14 +96,6 @@ func (l *Lock) Release(p *Proc) {
 	p.Write(l.addr)
 }
 
-// Holder returns the current holder, or NoNode.
-func (l *Lock) Holder() memory.NodeID {
-	if !l.held {
-		return memory.NoNode
-	}
-	return l.holder
-}
-
 // Barrier is a sense-reversing centralized barrier.
 type Barrier struct {
 	countAddr  memory.Addr

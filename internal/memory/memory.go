@@ -150,19 +150,11 @@ func (l Layout) SameBlock(a, b Addr) bool {
 	return l.Block(a) == l.Block(b)
 }
 
-// SplitByBlock splits the byte range [addr, addr+size) into per-block
-// sub-ranges. Most accesses fit in one block; misaligned multi-word
-// accesses may span two or more.
-func (l Layout) SplitByBlock(addr Addr, size uint32) []Access {
-	if size == 0 {
-		return nil
-	}
-	return l.AppendSplitByBlock(nil, addr, size)
-}
-
 // AppendSplitByBlock appends the per-block sub-ranges of [addr, addr+size)
-// to dst and returns the extended slice. Callers on hot paths pass a
-// reusable buffer (dst[:0]) so the common case allocates nothing.
+// to dst and returns the extended slice. Most accesses fit in one block;
+// misaligned multi-word accesses may span two or more. Callers on hot
+// paths pass a reusable buffer (dst[:0]) so the common case allocates
+// nothing.
 func (l Layout) AppendSplitByBlock(dst []Access, addr Addr, size uint32) []Access {
 	if size == 0 {
 		return dst
@@ -263,10 +255,6 @@ func (a *Allocator) FindName(addr Addr) string {
 func (a *Allocator) AllocBlocks(name string, size uint64) Addr {
 	return a.Alloc(name, size, a.layout.BlockSize)
 }
-
-// Used returns the total number of bytes handed out so far, including
-// alignment padding.
-func (a *Allocator) Used() uint64 { return uint64(a.next) }
 
 // Regions returns the allocation names in order with their accumulated
 // sizes.

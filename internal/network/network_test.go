@@ -11,7 +11,7 @@ import (
 func newNet(t *testing.T, n int) (*Network, *stats.Stats) {
 	t.Helper()
 	st := stats.New(n)
-	nw, err := New(Config{HopDelay: 40, BytesPerCycle: 8, BlockSize: 32}, n, st)
+	nw, err := New(32, n, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,20 +19,10 @@ func newNet(t *testing.T, n int) (*Network, *stats.Stats) {
 }
 
 func TestConfigValidate(t *testing.T) {
-	ok := Config{HopDelay: 40, BytesPerCycle: 8, BlockSize: 32}
-	if err := ok.Validate(); err != nil {
-		t.Fatalf("valid config rejected: %v", err)
+	if _, err := New(0, 4, stats.New(4)); err == nil {
+		t.Error("zero block size accepted")
 	}
-	for _, bad := range []Config{
-		{HopDelay: -1, BytesPerCycle: 8, BlockSize: 32},
-		{HopDelay: 40, BytesPerCycle: 0, BlockSize: 32},
-		{HopDelay: 40, BytesPerCycle: 8, BlockSize: 0},
-	} {
-		if err := bad.Validate(); err == nil {
-			t.Errorf("invalid config accepted: %+v", bad)
-		}
-	}
-	if _, err := New(ok, 0, stats.New(0)); err == nil {
+	if _, err := New(32, 0, stats.New(0)); err == nil {
 		t.Error("zero-node network accepted")
 	}
 }
@@ -51,7 +41,7 @@ func TestRemoteSendLatency(t *testing.T) {
 	nw, st := newNet(t, 4)
 	// Header-only message: 8 bytes / 8 B/cy = 1 cycle occupancy.
 	got := nw.Send(0, 1, stats.MsgReadReq, 100)
-	want := uint64(100 + 1 + 40 + 1) // egress occ + hop + ingress occ
+	want := uint64(100 + 1 + 60 + 1) // egress occ + hop + ingress occ
 	if got != want {
 		t.Errorf("arrival = %d, want %d", got, want)
 	}
@@ -64,7 +54,7 @@ func TestDataMessageOccupancy(t *testing.T) {
 	nw, _ := newNet(t, 4)
 	// Data message: (8+32)/8 = 5 cycles occupancy each side.
 	got := nw.Send(0, 1, stats.MsgReadReply, 0)
-	want := uint64(5 + 40 + 5)
+	want := uint64(5 + 60 + 5)
 	if got != want {
 		t.Errorf("data arrival = %d, want %d", got, want)
 	}
@@ -105,7 +95,7 @@ func TestNoContentionAcrossDisjointPairs(t *testing.T) {
 func TestArrivalMonotonicity(t *testing.T) {
 	f := func(ops []uint16) bool {
 		st := stats.New(4)
-		nw, err := New(Config{HopDelay: 40, BytesPerCycle: 8, BlockSize: 32}, 4, st)
+		nw, err := New(32, 4, st)
 		if err != nil {
 			return false
 		}
@@ -122,7 +112,7 @@ func TestArrivalMonotonicity(t *testing.T) {
 				}
 				continue
 			}
-			if arr < now+42 { // occupancy 1 + hop 40 + occupancy 1
+			if arr < now+62 { // occupancy 1 + hop 60 + occupancy 1
 				return false
 			}
 			eg, _ := nw.PortBusyUntil(from)
@@ -149,198 +139,6 @@ func TestTrafficBytesAccumulate(t *testing.T) {
 
 func memNode(v uint16) memory.NodeID { return memory.NodeID(v) }
 
-func TestTopologyStrings(t *testing.T) {
-	if PointToPoint.String() != "point-to-point" || Mesh2D.String() != "mesh2d" {
-		t.Error("topology strings wrong")
-	}
-	if Topology(9).String() == "" {
-		t.Error("unknown topology string empty")
-	}
-}
-
-func TestMeshHops(t *testing.T) {
-	st := stats.New(16)
-	nw, err := New(Config{HopDelay: 40, BytesPerCycle: 8, BlockSize: 32, Topology: Mesh2D}, 16, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 4x4 mesh: node layout row-major.
-	cases := []struct {
-		from, to memory.NodeID
-		hops     int
-	}{
-		{0, 0, 0},
-		{0, 1, 1},  // same row, adjacent
-		{0, 4, 1},  // same column, adjacent
-		{0, 5, 2},  // diagonal neighbour
-		{0, 15, 6}, // opposite corner of a 4x4 mesh
-		{3, 12, 6}, // other diagonal
-		{5, 6, 1},
-	}
-	for _, c := range cases {
-		if got := nw.Hops(c.from, c.to); got != c.hops {
-			t.Errorf("Hops(%d,%d) = %d, want %d", c.from, c.to, got, c.hops)
-		}
-		if got := nw.Hops(c.to, c.from); got != c.hops {
-			t.Errorf("Hops(%d,%d) not symmetric", c.to, c.from)
-		}
-	}
-}
-
-func TestMeshDelayScalesWithDistance(t *testing.T) {
-	st := stats.New(16)
-	nw, err := New(Config{HopDelay: 40, BytesPerCycle: 8, BlockSize: 32, Topology: Mesh2D}, 16, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	near := nw.Send(0, 1, stats.MsgReadReq, 0)
-	far := nw.Send(2, 13, stats.MsgReadReq, 0) // distinct ports, distance 4
-	if far <= near {
-		t.Errorf("far delivery %d not after near %d", far, near)
-	}
-	if want := near + 3*40; far != want {
-		t.Errorf("far delivery %d, want %d (3 extra hops)", far, want)
-	}
-}
-
-func TestPointToPointUnchangedByTopologyDefault(t *testing.T) {
-	st := stats.New(4)
-	nw, err := New(Config{HopDelay: 40, BytesPerCycle: 8, BlockSize: 32}, 4, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nw.Hops(0, 3) != 1 {
-		t.Error("default topology not single-hop")
-	}
-}
-
-// TestValidateTopology: the validator must reject configurations whose
-// topology silently measures nothing — an unknown topology value and a
-// Mesh2D whose zero hop delay collapses the distance model.
-func TestValidateTopology(t *testing.T) {
-	bad := Config{HopDelay: 40, BytesPerCycle: 8, BlockSize: 32, Topology: Topology(7)}
-	if err := bad.Validate(); err == nil {
-		t.Error("unknown topology accepted")
-	}
-	flat := Config{HopDelay: 0, BytesPerCycle: 8, BlockSize: 32, Topology: Mesh2D}
-	if err := flat.Validate(); err == nil {
-		t.Error("Mesh2D with zero hop delay accepted")
-	}
-	// Zero hop delay stays legal for point-to-point (an idealized
-	// contention-only network), and Mesh2D with a real delay is fine.
-	ptp := Config{HopDelay: 0, BytesPerCycle: 8, BlockSize: 32}
-	if err := ptp.Validate(); err != nil {
-		t.Errorf("point-to-point with zero hop delay rejected: %v", err)
-	}
-	mesh := Config{HopDelay: 1, BytesPerCycle: 8, BlockSize: 32, Topology: Mesh2D}
-	if err := mesh.Validate(); err != nil {
-		t.Errorf("valid mesh rejected: %v", err)
-	}
-}
-
-// TestMeshWidthNonSquare: node counts that don't fill a square still get
-// a covering mesh — 5 nodes on a 3x3, 17 nodes on a 5x5 — and the hop
-// metric stays consistent on the ragged last row.
-func TestMeshWidthNonSquare(t *testing.T) {
-	if w := meshWidth(5); w != 3 {
-		t.Errorf("meshWidth(5) = %d, want 3", w)
-	}
-	if w := meshWidth(17); w != 5 {
-		t.Errorf("meshWidth(17) = %d, want 5", w)
-	}
-	if w := meshWidth(1); w != 1 {
-		t.Errorf("meshWidth(1) = %d, want 1", w)
-	}
-	if w := meshWidth(16); w != 4 {
-		t.Errorf("meshWidth(16) = %d, want 4", w)
-	}
-
-	// 5 nodes on a 3-wide mesh: rows are {0,1,2}, {3,4}.
-	st := stats.New(5)
-	nw, err := New(Config{HopDelay: 40, BytesPerCycle: 8, BlockSize: 32, Topology: Mesh2D}, 5, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		from, to memory.NodeID
-		hops     int
-	}{
-		{0, 2, 2}, // across the top row
-		{0, 3, 1}, // down one row
-		{2, 3, 3}, // corner to the ragged row's start
-		{2, 4, 2},
-		{4, 4, 0},
-	}
-	for _, c := range cases {
-		if got := nw.Hops(c.from, c.to); got != c.hops {
-			t.Errorf("5-node mesh Hops(%d,%d) = %d, want %d", c.from, c.to, got, c.hops)
-		}
-	}
-
-	// 17 nodes on a 5-wide mesh: node 16 sits alone at (1,3) on the
-	// fourth row.
-	st = stats.New(17)
-	nw, err = New(Config{HopDelay: 40, BytesPerCycle: 8, BlockSize: 32, Topology: Mesh2D}, 17, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := nw.Hops(0, 16); got != 4 { // (0,0) -> (1,3)
-		t.Errorf("17-node mesh Hops(0,16) = %d, want 4", got)
-	}
-	if got := nw.Hops(4, 16); got != 6 { // (4,0) -> (1,3)
-		t.Errorf("17-node mesh Hops(4,16) = %d, want 6", got)
-	}
-}
-
-// TestMeshBurstSameSource: a burst of messages out of one mesh node must
-// serialize on its egress port regardless of destination — distance
-// shapes the flight time, contention the departure times.
-func TestMeshBurstSameSource(t *testing.T) {
-	st := stats.New(16)
-	nw, err := New(Config{HopDelay: 40, BytesPerCycle: 8, BlockSize: 32, Topology: Mesh2D}, 16, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Header-only messages occupy 1 cycle. Three messages injected at the
-	// same instant to increasingly distant nodes: departures serialize at
-	// 0,1,2 and each then flies Manhattan-distance hops.
-	dests := []memory.NodeID{1, 5, 15}
-	hops := []uint64{1, 2, 6}
-	for i, d := range dests {
-		got := nw.Send(0, d, stats.MsgReadReq, 0)
-		want := uint64(i) + 1 + hops[i]*40 + 1
-		if got != want {
-			t.Errorf("burst msg %d to node %d arrived %d, want %d", i, d, got, want)
-		}
-	}
-	eg, _ := nw.PortBusyUntil(0)
-	if eg != uint64(len(dests)) {
-		t.Errorf("egress busy-until = %d after %d-message burst, want %d", eg, len(dests), len(dests))
-	}
-
-	// A burst to a single destination additionally serializes on the
-	// receiver's ingress port: arrivals must be strictly increasing.
-	st = stats.New(16)
-	nw, err = New(Config{HopDelay: 40, BytesPerCycle: 8, BlockSize: 32, Topology: Mesh2D}, 16, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var last uint64
-	for i := 0; i < 8; i++ {
-		got := nw.Send(0, 15, stats.MsgReadReply, 0)
-		if got <= last {
-			t.Fatalf("burst arrival %d not after previous %d", got, last)
-		}
-		last = got
-	}
-	// 8 data messages of 5 cycles each: the ingress drains one per 5
-	// cycles, so the last arrival is 7*5 after the first.
-	first := uint64(5 + 6*40 + 5)
-	if last != first+7*5 {
-		t.Errorf("last burst arrival = %d, want %d", last, first+7*5)
-	}
-}
-
 // TestSendAllocationFree guards the message hot path: Send is pure
 // counter arithmetic (port occupancy + traffic accounting) and must not
 // allocate — messages are never materialized as objects. Together with
@@ -348,7 +146,7 @@ func TestMeshBurstSameSource(t *testing.T) {
 // allocation-free.
 func TestSendAllocationFree(t *testing.T) {
 	st := stats.New(4)
-	nw, err := New(Config{HopDelay: 40, BytesPerCycle: 8, BlockSize: 32}, 4, st)
+	nw, err := New(32, 4, st)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,6 +20,7 @@ package protocol
 
 import (
 	"fmt"
+	"math"
 
 	"lsnuma/internal/directory"
 	"lsnuma/internal/memory"
@@ -76,10 +77,10 @@ type Variant struct {
 	KeepOnWriteMiss bool
 	// TagHysteresis requires this many consecutive tagging events before
 	// the block is tagged (0 and 1 mean immediate tagging; the paper
-	// evaluates 2).
+	// evaluates 2; at most 256, see Validate).
 	TagHysteresis int
 	// DetagHysteresis requires this many consecutive de-tagging events
-	// before the tag is cleared (0 and 1 mean immediate).
+	// before the tag is cleared (0 and 1 mean immediate; at most 256).
 	DetagHysteresis int
 }
 
@@ -98,6 +99,23 @@ func (v Variant) String() string {
 		s += fmt.Sprintf("+detag-hysteresis=%d", v.DetagHysteresis)
 	}
 	return s
+}
+
+// maxHysteresis is the deepest hysteresis a directory entry's 8-bit
+// TagCount and DetagCount can count: tag and detag count an event only
+// while the count stays below the depth, so a deeper one would wrap the
+// counter and never change the bit.
+const maxHysteresis = math.MaxUint8 + 1
+
+// Validate checks that both hysteresis depths lie in 0..256.
+func (v Variant) Validate() error {
+	if v.TagHysteresis < 0 || v.TagHysteresis > maxHysteresis {
+		return fmt.Errorf("protocol: tag hysteresis %d outside 0..%d", v.TagHysteresis, maxHysteresis)
+	}
+	if v.DetagHysteresis < 0 || v.DetagHysteresis > maxHysteresis {
+		return fmt.Errorf("protocol: detag hysteresis %d outside 0..%d", v.DetagHysteresis, maxHysteresis)
+	}
+	return nil
 }
 
 // tag records a tagging event on e, whose tag bit is *bit (LS's LS bit,

@@ -253,6 +253,43 @@ func TestLSDetagHysteresisResetByTag(t *testing.T) {
 	}
 }
 
+// TestHysteresisDepthBound: the deepest hysteresis the directory entry's
+// 8-bit counters can count still fires, on its last event; a deeper or a
+// negative depth fails Validate, since a depth of 257 or more wraps the
+// counter and never changes the bit.
+func TestHysteresisDepthBound(t *testing.T) {
+	v := Variant{TagHysteresis: 256, DetagHysteresis: 256}
+	if err := v.Validate(); err != nil {
+		t.Fatalf("depth 256 rejected: %v", err)
+	}
+	p := New(LS, v)
+	e := freshEntry(p)
+	e.State = directory.Shared
+	e.Sharers.Add(1)
+	for i := 1; i <= 256; i++ {
+		p.NoteRead(e, 1)
+		if tagged := p.NoteGlobalWrite(e, 1, true); tagged != (i == 256) || e.LS != (i == 256) {
+			t.Fatalf("tagging event %d: tagged %v, LS bit %v", i, tagged, e.LS)
+		}
+	}
+	for i := 1; i <= 256; i++ {
+		p.NoteFailedPrediction(e)
+		if e.LS != (i < 256) {
+			t.Fatalf("de-tagging event %d: LS bit %v", i, e.LS)
+		}
+	}
+	for _, bad := range []Variant{
+		{TagHysteresis: 257},
+		{DetagHysteresis: 257},
+		{TagHysteresis: -1},
+		{DetagHysteresis: -1},
+	} {
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%+v accepted", bad)
+		}
+	}
+}
+
 // TestADMigratoryDetection exercises the ISCA '93 detection signature:
 // exactly two copies, requester is one, last writer is the other.
 func TestADMigratoryDetection(t *testing.T) {

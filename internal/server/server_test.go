@@ -292,11 +292,15 @@ func TestBadRequests(t *testing.T) {
 		{"removed shard-count field", "/api/v1/point", `{"config":{"shards":2}}`},
 		// Likewise the map-backed directory, gone with its backend.
 		{"removed map-directory field", "/api/v1/point", `{"config":{"MapDirectory":true}}`},
-		// A configuration the interconnect refuses is refused at
-		// admission, not run and failed with a 500.
-		{"concentration without mesh", "/api/v1/point", `{"config":{"Concentration":4}}`},
+		// The interconnect is the paper's point-to-point network only:
+		// the 2-D mesh and its router concentration are gone.
+		{"removed concentration field", "/api/v1/point", `{"config":{"Concentration":4}}`},
+		{"removed mesh field", "/api/v1/point", `{"config":{"Mesh2D":true}}`},
 		// The Table 1 latencies are engine constants, not Config fields.
 		{"removed hop-delay field", "/api/v1/point", `{"config":{"HopDelay":2}}`},
+		// A hysteresis deeper than the directory's 8-bit counters can
+		// count would never fire; it is refused at admission.
+		{"hysteresis too deep", "/api/v1/point", `{"config":{"Variant":{"TagHysteresis":257}}}`},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
