@@ -122,6 +122,11 @@ func TestPointKeyStability(t *testing.T) {
 			c.Scheduler = "serial"
 			return pointKey(c, "mp3d", ScaleTest)
 		},
+		"variant": func() (string, error) {
+			c := cfg
+			c.Variant.TagHysteresis = 2
+			return pointKey(c, "mp3d", ScaleTest)
+		},
 	}
 	for name, f := range perturb {
 		k, err := f()
@@ -132,8 +137,19 @@ func TestPointKeyStability(t *testing.T) {
 			t.Errorf("perturbing %s did not change the key", name)
 		}
 	}
+	key := func(set func(*Config)) string {
+		c := cfg
+		set(&c)
+		k, err := pointKey(c, "mp3d", ScaleTest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	baseline := func(c *Config) { c.Protocol = Baseline }
 	// Spellings of one configuration key identically: the CLIs say
-	// "off" where a daemon request leaves the field empty.
+	// "off" where a daemon request leaves the field empty. Baseline and
+	// EX read no Variant option, so a valid one does not split their key.
 	same := []struct {
 		name string
 		a, b func(*Config)
@@ -142,22 +158,61 @@ func TestPointKeyStability(t *testing.T) {
 		{"scheduler", func(c *Config) { c.Scheduler = "" }, func(c *Config) { c.Scheduler = "runahead" }},
 		{"dirformat", func(c *Config) { c.DirFormat = "" }, func(c *Config) { c.DirFormat = "full" }},
 		{"retry", func(c *Config) { c.Retry = "max:16" }, func(c *Config) { c.Retry = "max:16,base:100,cap:10000,jitter:1" }},
+		{"baseline-variant", baseline, func(c *Config) { c.Protocol, c.Variant = Baseline, ablationVariant }},
+		{"ex-variant", func(c *Config) { c.Protocol = EX }, func(c *Config) { c.Protocol, c.Variant = EX, ablationVariant }},
 	}
 	for _, tc := range same {
-		a, b := cfg, cfg
-		tc.a(&a)
-		tc.b(&b)
-		ka, err := pointKey(a, "mp3d", ScaleTest)
-		if err != nil {
-			t.Fatal(err)
-		}
-		kb, err := pointKey(b, "mp3d", ScaleTest)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ka != kb {
+		if key(tc.a) != key(tc.b) {
 			t.Errorf("%s: equal configurations key differently", tc.name)
 		}
+	}
+	// An invalid Variant keeps its spelling, so it never shares a key
+	// with a point that runs.
+	if key(baseline) == key(func(c *Config) { c.Protocol, c.Variant.TagHysteresis = Baseline, 300 }) {
+		t.Error("a Baseline with tag hysteresis 300 keys as the plain Baseline")
+	}
+}
+
+// ablationVariant sets every §5.5 ablation option.
+var ablationVariant = Variant{DefaultTagged: true, KeepOnWriteMiss: true, TagHysteresis: 2, DetagHysteresis: 3}
+
+// TestBaselineIgnoresVariant is the contract behind keying Baseline and
+// EX without their Variant: neither protocol reads it, so their Results
+// are byte-identical with and without every ablation option set.
+func TestBaselineIgnoresVariant(t *testing.T) {
+	for _, p := range []Protocol{Baseline, EX} {
+		cfg := OLTPConfig()
+		cfg.Protocol = p
+		plain, err := Run(cfg, "oltp", ScaleTest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Variant = ablationVariant
+		varied, err := Run(cfg, "oltp", ScaleTest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pj, vj := exportJSON(t, plain), exportJSON(t, varied); !bytes.Equal(pj, vj) {
+			t.Errorf("%s reads its Variant:\nzero:    %s\nvariant: %s", p, pj, vj)
+		}
+	}
+}
+
+// TestCacheSharesBaselineAcrossVariants: a Baseline point with a Variant
+// is answered from the plain Baseline's cache entry.
+func TestCacheSharesBaselineAcrossVariants(t *testing.T) {
+	rc := openCache(t, t.TempDir())
+	pt := Point{Label: "mp3d/Baseline", Config: DefaultConfig(), Workload: "mp3d", Scale: ScaleTest}
+	pt.Config.Protocol = Baseline
+	varied := pt
+	varied.Config.Variant = ablationVariant
+	for _, p := range []Point{pt, varied} {
+		if _, err := RunAll(context.Background(), []Point{p}, RunOptions{Cache: rc}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := rc.Stats(); s.Hits != 1 || s.Misses != 1 {
+		t.Fatalf("stats = %+v, want hits=1 misses=1", s)
 	}
 }
 

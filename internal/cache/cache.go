@@ -218,22 +218,12 @@ func (c *Cache) Insert(block memory.Addr, s State) (Victim, bool) {
 	return v, true
 }
 
-// Resident returns the blocks currently cached, in no particular order.
-// Intended for tests and invariant checks.
-func (c *Cache) Resident() []Victim {
-	var out []Victim
+// ForEach calls fn with every resident block and its state, in line
+// order, without touching LRU state. It allocates nothing.
+func (c *Cache) ForEach(fn func(block memory.Addr, s State)) {
 	for i := range c.lines {
 		if c.lines[i].state != Invalid {
-			out = append(out, Victim{Block: c.lines[i].block, State: c.lines[i].state})
+			fn(c.lines[i].block, c.lines[i].state)
 		}
-	}
-	return out
-}
-
-// Flush invalidates every line. Dirty contents are discarded; callers that
-// need writebacks should walk Resident first.
-func (c *Cache) Flush() {
-	for i := range c.lines {
-		c.lines[i].state = Invalid
 	}
 }

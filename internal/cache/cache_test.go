@@ -122,16 +122,28 @@ func TestInsertResidentPanics(t *testing.T) {
 	c.Insert(0x20, Modified)
 }
 
-func TestFlushAndResident(t *testing.T) {
-	c := New(cfg(128, 2, 16))
+// resident collects c's blocks through ForEach.
+func resident(c *Cache) []Victim {
+	var out []Victim
+	c.ForEach(func(b memory.Addr, s State) { out = append(out, Victim{Block: b, State: s}) })
+	return out
+}
+
+func TestForEach(t *testing.T) {
+	c := New(cfg(32, 2, 16)) // 1 set, 2-way
 	c.Insert(0x00, Shared)
 	c.Insert(0x10, Modified)
-	if got := len(c.Resident()); got != 2 {
-		t.Fatalf("Resident = %d entries", got)
+	got := resident(c)
+	if len(got) != 2 || got[0] != (Victim{0x00, Shared}) || got[1] != (Victim{0x10, Modified}) {
+		t.Fatalf("ForEach visited %+v", got)
 	}
-	c.Flush()
-	if got := len(c.Resident()); got != 0 {
-		t.Fatalf("Resident after flush = %d entries", got)
+	// The walk leaves LRU order alone: block 0 is still the victim.
+	if v, ev := c.Insert(0x20, Shared); !ev || v.Block != 0x00 {
+		t.Fatalf("eviction after ForEach = %+v, %v; want block 0", v, ev)
+	}
+	c.Invalidate(0x10)
+	if got := resident(c); len(got) != 1 || got[0].Block != 0x20 {
+		t.Fatalf("ForEach after invalidate visited %+v", got)
 	}
 }
 
@@ -152,7 +164,7 @@ func TestCacheNeverExceedsCapacity(t *testing.T) {
 				}
 			}
 		}
-		res := c.Resident()
+		res := resident(c)
 		if len(res) > 16 {
 			return false
 		}

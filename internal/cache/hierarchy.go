@@ -77,10 +77,10 @@ func NewHierarchy(l1cfg, l2cfg Config) (*Hierarchy, error) {
 	return &Hierarchy{l1: New(l1cfg), l2: New(l2cfg)}, nil
 }
 
-// L1 returns the first-level cache (for inspection in tests).
+// L1 returns the first-level cache, for inspection.
 func (h *Hierarchy) L1() *Cache { return h.l1 }
 
-// L2 returns the second-level cache (for inspection in tests).
+// L2 returns the second-level cache, for inspection.
 func (h *Hierarchy) L2() *Cache { return h.l2 }
 
 func (h *Hierarchy) l1Time() int { return h.l1.cfg.AccessTime }
@@ -249,19 +249,4 @@ func (h *Hierarchy) ForceState(block memory.Addr, s State) bool {
 	}
 	h.l1.SetState(block, s) // may be absent from L1; that is fine
 	return true
-}
-
-// CheckInclusion verifies that every valid L1 line has a valid L2 line with
-// a compatible state. Intended for tests; returns the first violation.
-func (h *Hierarchy) CheckInclusion() error {
-	for _, ln := range h.l1.Resident() {
-		s2 := h.l2.Probe(ln.Block)
-		if s2 == Invalid {
-			return fmt.Errorf("block %#x in L1 (%v) but not in L2", ln.Block, ln.State)
-		}
-		if ln.State.Exclusive() && !s2.Exclusive() {
-			return fmt.Errorf("block %#x exclusive in L1 (%v) but %v in L2", ln.Block, ln.State, s2)
-		}
-	}
-	return nil
 }

@@ -107,17 +107,19 @@ func (v *CoherenceViolation) Error() string {
 // Checker validates the invariants over one machine's directory and cache
 // hierarchies. All checks are side-effect free: probes never touch LRU
 // state and missing directory entries are never created, so enabling the
-// checker cannot perturb a simulation.
+// checker cannot perturb a simulation. A Checker is not safe for
+// concurrent use.
 type Checker struct {
 	layout memory.Layout
 	dir    *directory.Directory
 	caches []*cache.Hierarchy
+	states []cache.State // CheckBlock's per-CPU L2 states of its block
 }
 
 // New builds a checker over the given directory and per-node hierarchies
 // (index = node ID).
 func New(layout memory.Layout, dir *directory.Directory, caches []*cache.Hierarchy) *Checker {
-	return &Checker{layout: layout, dir: dir, caches: caches}
+	return &Checker{layout: layout, dir: dir, caches: caches, states: make([]cache.State, len(caches))}
 }
 
 // violation builds a fully described CoherenceViolation for block.
@@ -160,6 +162,22 @@ func (c *Checker) describe(block memory.Addr) string {
 	return b.String()
 }
 
+// exact reports whether home entry e maps a copy in state s held by cpu
+// n: a Modified copy needs a Dirty or Load-Store home owned by n (the
+// Load-Store case is the LS protocol's silent promotion), an LStemp copy
+// a Load-Store home owned by n, and a Shared copy a Shared home listing n.
+func exact(s cache.State, e *directory.Entry, n memory.NodeID) bool {
+	switch s {
+	case cache.Modified:
+		return (e.State == directory.Dirty || e.State == directory.Excl) && e.Owner == n
+	case cache.LStemp:
+		return e.State == directory.Excl && e.Owner == n
+	case cache.Shared:
+		return e.State == directory.Shared && e.Sharers.Has(n)
+	}
+	return true
+}
+
 // CheckBlock validates every invariant for the single block containing
 // addr. It allocates nothing on the success path.
 func (c *Checker) CheckBlock(addr memory.Addr, cycle uint64) error {
@@ -167,6 +185,7 @@ func (c *Checker) CheckBlock(addr memory.Addr, cycle uint64) error {
 	var copies, excl int
 	for i, h := range c.caches {
 		s2 := h.State(block)
+		c.states[i] = s2
 		l1 := h.L1().Probe(block)
 		if s2 == cache.Invalid {
 			if l1 != cache.Invalid {
@@ -200,29 +219,24 @@ func (c *Checker) CheckBlock(addr memory.Addr, cycle uint64) error {
 	if err := e.CheckInvariant(); err != nil {
 		return c.violation("home-state", block, cycle, "%v", err)
 	}
-	for i, h := range c.caches {
-		n := memory.NodeID(i)
-		switch h.State(block) {
-		case cache.Modified:
-			if (e.State != directory.Dirty && e.State != directory.Excl) || e.Owner != n {
-				return c.violation("directory-exactness", block, cycle,
-					"cpu %d holds Modified but home is %v with owner %d", i, e.State, e.Owner)
-			}
-		case cache.LStemp:
-			if e.State != directory.Excl || e.Owner != n {
-				return c.violation("directory-exactness", block, cycle,
-					"cpu %d holds LStemp but home is %v with owner %d", i, e.State, e.Owner)
-			}
-		case cache.Shared:
-			if e.State != directory.Shared || !e.Sharers.Has(n) {
-				return c.violation("directory-exactness", block, cycle,
-					"cpu %d holds Shared but home is %v with sharers %v", i, e.State, e.Sharers)
-			}
+	for i, s := range c.states {
+		if exact(s, e, memory.NodeID(i)) {
+			continue
 		}
+		if s == cache.Shared {
+			return c.violation("directory-exactness", block, cycle,
+				"cpu %d holds Shared but home is %v with sharers %v", i, e.State, e.Sharers)
+		}
+		held := "Modified"
+		if s == cache.LStemp {
+			held = "LStemp"
+		}
+		return c.violation("directory-exactness", block, cycle,
+			"cpu %d holds %s but home is %v with owner %d", i, held, e.State, e.Owner)
 	}
 	var ghost memory.NodeID = memory.NoNode
 	e.Holders().ForEach(func(n memory.NodeID) {
-		if c.caches[n].State(block) == cache.Invalid && ghost == memory.NoNode {
+		if c.states[n] == cache.Invalid && ghost == memory.NoNode {
 			ghost = n
 		}
 	})
@@ -233,30 +247,49 @@ func (c *Checker) CheckBlock(addr memory.Addr, cycle uint64) error {
 	return nil
 }
 
-// CheckAll sweeps the whole machine: every resident cache block, every
-// hierarchy's inclusion property, and every directory entry.
+// CheckAll sweeps the whole machine in one pass over its state: each L1
+// line against its own L2 (inclusion), each L2 line against its home
+// entry (exactness), and each directory entry against its structural
+// invariant and the caches of the holders it names (no ghosts). Exactness
+// of every copy implies SWMR, so the pass flags exactly the blocks
+// CheckBlock fails; it reports the lowest-addressed one with CheckBlock's
+// diagnosis. It allocates nothing on the success path.
 func (c *Checker) CheckAll(cycle uint64) error {
-	for i, h := range c.caches {
-		if err := h.CheckInclusion(); err != nil {
-			return &CoherenceViolation{
-				Invariant: "inclusion",
-				Cycle:     cycle,
-				Detail:    fmt.Sprintf("cpu %d: %v", i, err),
-				State:     "(hierarchy-wide)",
-			}
-		}
-		for _, ln := range h.L2().Resident() {
-			if err := c.CheckBlock(ln.Block, cycle); err != nil {
-				return err
-			}
+	var bad memory.Addr
+	found := false
+	flag := func(b memory.Addr) {
+		if !found || b < bad {
+			bad, found = b, true
 		}
 	}
-	var err error
-	c.dir.ForEach(func(idx uint64, _ *directory.Entry) {
-		if err != nil {
+	for i, h := range c.caches {
+		l2 := h.L2()
+		h.L1().ForEach(func(b memory.Addr, s1 cache.State) {
+			if s2 := l2.Probe(b); s2 == cache.Invalid || s1.Exclusive() && !s2.Exclusive() {
+				flag(b)
+			}
+		})
+		n := memory.NodeID(i)
+		l2.ForEach(func(b memory.Addr, s cache.State) {
+			if e, ok := c.dir.Lookup(b); !ok || !exact(s, e, n) {
+				flag(b)
+			}
+		})
+	}
+	c.dir.ForEach(func(idx uint64, e *directory.Entry) {
+		b := memory.Addr(idx * c.layout.BlockSize)
+		if e.CheckInvariant() != nil {
+			flag(b)
 			return
 		}
-		err = c.CheckBlock(memory.Addr(idx*c.layout.BlockSize), cycle)
+		e.Holders().ForEach(func(n memory.NodeID) {
+			if c.caches[n].State(b) == cache.Invalid {
+				flag(b)
+			}
+		})
 	})
-	return err
+	if !found {
+		return nil
+	}
+	return c.CheckBlock(bad, cycle)
 }

@@ -123,9 +123,14 @@ func pointKey(cfg Config, workloadName string, scale Scale) (string, error) {
 
 // canonicalSpecs returns cfg with Check, Scheduler, DirFormat and Retry
 // in the form their parsers print, so a configuration keys the same
-// however a knob is spelled: "" and "off", "max:16" and its expansion. A
-// spec that does not parse is left as spelled; running it fails.
+// however a knob is spelled: "" and "off", "max:16" and its expansion.
+// Baseline and EX read no Variant option, so a valid Variant of theirs
+// keys as the zero Variant. A spec or Variant that does not validate is
+// left as spelled; running it fails.
 func canonicalSpecs(cfg Config) Config {
+	if (cfg.Protocol == Baseline || cfg.Protocol == EX) && cfg.Variant.Validate() == nil {
+		cfg.Variant = Variant{}
+	}
 	if l, err := check.ParseLevel(string(cfg.Check)); err == nil {
 		cfg.Check = CheckLevel(l.String())
 	}
