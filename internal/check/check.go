@@ -235,7 +235,7 @@ func (c *Checker) CheckBlock(addr memory.Addr, cycle uint64) error {
 			"cpu %d holds %s but home is %v with owner %d", i, held, e.State, e.Owner)
 	}
 	var ghost memory.NodeID = memory.NoNode
-	e.Holders().ForEach(func(n memory.NodeID) {
+	e.ForEachHolder(func(n memory.NodeID) {
 		if c.states[n] == cache.Invalid && ghost == memory.NoNode {
 			ghost = n
 		}
@@ -282,7 +282,7 @@ func (c *Checker) CheckAll(cycle uint64) error {
 			flag(b)
 			return
 		}
-		e.Holders().ForEach(func(n memory.NodeID) {
+		e.ForEachHolder(func(n memory.NodeID) {
 			if c.caches[n].State(b) == cache.Invalid {
 				flag(b)
 			}

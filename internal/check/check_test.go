@@ -21,14 +21,17 @@ type harness struct {
 	checker *Checker
 }
 
-func newHarness(t *testing.T) *harness {
+func newHarness(t *testing.T) *harness { return newHarnessOf(t, 4) }
+
+// newHarnessOf is newHarness with the given number of nodes.
+func newHarnessOf(t *testing.T, nodes int) *harness {
 	t.Helper()
-	layout, err := memory.NewLayout(4096, 16, 4)
+	layout, err := memory.NewLayout(4096, 16, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := directory.New(layout, nil)
-	caches := make([]*cache.Hierarchy, 4)
+	caches := make([]*cache.Hierarchy, nodes)
 	for i := range caches {
 		h, err := cache.NewHierarchy(
 			cache.Config{Size: 1024, Assoc: 1, BlockSize: 16, AccessTime: 1},
@@ -397,6 +400,37 @@ func TestCheckAllAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { h.checker.CheckAll(0) }); n != 0 {
 		t.Errorf("CheckAll allocates %v times per sweep on a clean machine, want 0", n)
+	}
+}
+
+// TestCheckAllocsAt128CPUs: past 64 CPUs a node id no longer fits a
+// sharer set's inline word, and naming a block's owner must still not
+// allocate. On a clean 128-CPU machine whose owned blocks belong to CPUs
+// 64 and above, neither the sweep nor a block check allocates.
+func TestCheckAllocsAt128CPUs(t *testing.T) {
+	h := newHarnessOf(t, 128)
+	r := rand.New(rand.NewSource(3))
+	for i := 0; i < 400; i++ {
+		h.legalFill(r, memory.Addr(r.Intn(256))*16, memory.NodeID(64+r.Intn(64)))
+	}
+	var owned memory.Addr
+	found := false
+	h.dir.ForEach(func(idx uint64, e *directory.Entry) {
+		if !found && (e.State == directory.Dirty || e.State == directory.Excl) {
+			owned, found = memory.Addr(idx*16), true
+		}
+	})
+	if !found {
+		t.Fatal("legal fills left no owned block")
+	}
+	if err := h.checker.CheckAll(0); err != nil {
+		t.Fatalf("legal fills built an illegal machine: %v", err)
+	}
+	if n := testing.AllocsPerRun(100, func() { h.checker.CheckAll(0) }); n != 0 {
+		t.Errorf("CheckAll allocates %v times per sweep, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { h.checker.CheckBlock(owned, 0) }); n != 0 {
+		t.Errorf("CheckBlock of an owned block allocates %v times, want 0", n)
 	}
 }
 

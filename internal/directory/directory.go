@@ -232,19 +232,16 @@ type Entry struct {
 	Ovf bool
 }
 
-// Holders returns the set of caches holding the block in any state.
-func (e *Entry) Holders() Bitset {
+// ForEachHolder calls fn with each cache the entry says holds the block,
+// in any state, in ascending order. It allocates nothing.
+func (e *Entry) ForEachHolder(fn func(memory.NodeID)) {
 	switch e.State {
 	case Shared:
-		return e.Sharers
+		e.Sharers.ForEach(fn)
 	case Dirty, Excl:
-		var b Bitset
 		if e.Owner != memory.NoNode {
-			b.Add(e.Owner)
+			fn(e.Owner)
 		}
-		return b
-	default:
-		return Bitset{}
 	}
 }
 

@@ -207,25 +207,27 @@ func TestEntryInvariants(t *testing.T) {
 	}
 }
 
-func TestHolders(t *testing.T) {
-	e := Entry{State: Shared, Sharers: Of(1, 2), Owner: memory.NoNode}
-	if h := e.Holders(); !h.Equal(Of(1, 2)) {
-		t.Errorf("Shared Holders = %v", h)
+func TestForEachHolder(t *testing.T) {
+	holders := func(e Entry) []memory.NodeID {
+		var ns []memory.NodeID
+		e.ForEachHolder(func(n memory.NodeID) { ns = append(ns, n) })
+		return ns
 	}
-	if h := e.Holders(); !h.Has(1) || h.Has(0) {
-		t.Error("Holders().Has wrong for Shared")
+	cases := []struct {
+		name string
+		e    Entry
+		want []memory.NodeID
+	}{
+		{"Shared", Entry{State: Shared, Sharers: Of(1, 2, 70), Owner: memory.NoNode}, []memory.NodeID{1, 2, 70}},
+		{"Dirty", Entry{State: Dirty, Owner: 3}, []memory.NodeID{3}},
+		{"Excl past 64", Entry{State: Excl, Owner: 77}, []memory.NodeID{77}},
+		{"Uncached", Entry{State: Uncached, Owner: memory.NoNode}, nil},
+		{"ownerless Excl", Entry{State: Excl, Owner: memory.NoNode}, nil},
 	}
-	e = Entry{State: Dirty, Owner: 3}
-	if h := e.Holders(); !h.Has(3) || h.Count() != 1 {
-		t.Errorf("Dirty Holders = %v", h)
-	}
-	e = Entry{State: Uncached, Owner: memory.NoNode}
-	if !e.Holders().Empty() {
-		t.Error("Uncached has holders")
-	}
-	e = Entry{State: Excl, Owner: memory.NoNode}
-	if !e.Holders().Empty() {
-		t.Error("ownerless Excl has holders")
+	for _, c := range cases {
+		if got := holders(c.e); !slices.Equal(got, c.want) {
+			t.Errorf("%s holders = %v, want %v", c.name, got, c.want)
+		}
 	}
 }
 

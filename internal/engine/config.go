@@ -50,12 +50,16 @@ type Sched uint8
 const (
 	// SchedRunAhead is the default: each step grants the processor it
 	// resumes a run-ahead lease under which it services its local hits
-	// inline, and spin-waits are re-armed without waking the spinner
-	// (see Proc.runInline and Machine.popServe).
+	// inline, spin-waits are re-armed without waking the spinner, and a
+	// spinner whose copy of its lock or barrier word sits in its own L1
+	// sleeps off the heap until the variable changes or it loses the
+	// copy, its slept reads accounted on wake (see Proc.runInline,
+	// Machine.popServe and Machine.wake). With a checker, fault injector
+	// or recorder attached, spinners stay on the heap.
 	SchedRunAhead Sched = iota
 	// SchedSerial is the reference: the same path with no run-ahead
-	// leases, so every memory operation takes a scheduler step, and with
-	// Proc.SpinRead as the plain loop of reads.
+	// leases and no sleeping, so every memory operation, each spin read
+	// included, takes a scheduler step.
 	SchedSerial
 )
 

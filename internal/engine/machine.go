@@ -68,6 +68,18 @@ type Machine struct {
 	// lease, without a scheduler step (introspection/tests).
 	runAheadOps uint64
 
+	// Sleeping spinners (Machine.sleep and wake). asleep holds, by node,
+	// the spinner asleep off the heap, or nil; it is nil itself when
+	// spinners never sleep: under the serial scheduler, and with a
+	// checker, fault injector or recorder attached, which see every
+	// operation in service order. sleepers counts the non-nil entries;
+	// sleeps and sleptReads count sleeps and the reads accounted on wake
+	// (tests).
+	asleep     []*Proc
+	sleepers   int
+	sleeps     uint64
+	sleptReads uint64
+
 	recorder func(OpRecord)
 
 	// Robustness state (Config.CheckLevel / FaultInjector / Cancel).
@@ -303,6 +315,9 @@ func (m *Machine) Run(programs []Program) error {
 		return m.finalize()
 	}
 	m.h.a = make([]*op, 0, len(m.procs))
+	if m.cfg.Sched == SchedRunAhead && m.checker == nil && m.faults == nil && m.recorder == nil {
+		m.asleep = make([]*Proc, m.cfg.Nodes)
+	}
 	m.programs = programs
 	m.done = make(chan error)
 	m.startNext()
@@ -322,14 +337,14 @@ func (m *Machine) startNext() bool {
 }
 
 // step is one scheduler step, taken by the goroutine holding the conch on
-// behalf of self, whose own operation (if any) is already in the heap. It
-// services the earliest pending operation (popServe) and resumes that
-// operation's processor, unless it is self, and returns it. After
-// startup, a processor still running always has its operation in the
-// heap, so an empty heap means every program has returned and the run is
-// complete.
+// behalf of self, whose own operation (if any) is already in the heap or
+// asleep. It services the earliest pending operation (popServe) and
+// resumes that operation's processor, unless it is self, and returns it.
+// After startup, a processor still running always has its operation in
+// the heap or asleep, so an empty heap with no sleeper means every
+// program has returned and the run is complete.
 func (m *Machine) step(self *Proc) *Proc {
-	if len(m.h.a) == 0 {
+	if len(m.h.a) == 0 && m.sleepers == 0 {
 		m.done <- m.finalize()
 		return nil
 	}
@@ -346,30 +361,119 @@ func (m *Machine) step(self *Proc) *Proc {
 // popServe pops the globally earliest pending operation, guards and
 // services it — and, when it is a declarative spin-wait whose predicate
 // is still false, advances the spinner and re-arms the read without
-// waking its goroutine, then keeps going. It returns the first completed
-// operation; its processor is the one to resume. While an operation is
-// out of the heap it is m.servicing, so abort finds its processor.
+// waking its goroutine, or puts the spinner to sleep, then keeps going.
+// It returns the first completed operation; its processor is the one to
+// resume. While an operation is out of the heap it is m.servicing, so
+// abort finds its processor.
 //
 // Iterating spins here is what makes contended barriers and locks cheap:
 // each spin read is still a heap-ordered, fully modeled operation —
 // byte-identical to the serial scheduler's plain loop — but a processor
-// that spins N times costs one goroutine handoff instead of N.
+// that spins N times costs one goroutine handoff instead of N. Its next
+// reads are L1 hits that see the same value until its variable changes
+// or another processor takes its copy, so unless an observer needs every
+// operation it sleeps until then (sleep, wake) and costs no heap
+// operation either.
 func (m *Machine) popServe() *op {
 	for {
+		if m.sleepers > 0 {
+			if o := m.h.min(); o == nil || o.at > m.cfg.MaxCycles {
+				m.wakeAtGuard()
+			}
+		}
 		next := m.h.pop()
 		m.servicing = next
 		if next.at > m.cfg.MaxCycles {
 			panic(&livelockError{cpu: next.proc.id, max: m.cfg.MaxCycles})
 		}
 		m.service(next)
-		if s := next.spin; s != nil && !s.stop() {
-			next.proc.Compute(s.step())
-			next.at = next.proc.clock
-			m.h.push(next)
-			continue
+		p := next.proc
+		if !next.spin || p.spin.stop() {
+			m.servicing = nil
+			return next
 		}
+		p.Compute(p.spin.step())
+		next.at = p.clock
 		m.servicing = nil
-		return next
+		if m.asleep != nil {
+			m.sleep(p)
+		} else {
+			m.h.push(next)
+		}
+	}
+}
+
+// sleep takes spinner p, whose next read is parked in p.pending, off the
+// heap and onto its variable's waiter list. The read just serviced left
+// the spin word's block in p's L1, as every load does (a hit, a refill
+// from L2 or a fill), and only a loss of the copy (loseCopy) removes it
+// while p sleeps.
+func (m *Machine) sleep(p *Proc) {
+	s := &p.spin
+	s.idx = len(*s.w)
+	*s.w = append(*s.w, p)
+	m.asleep[p.id] = p
+	m.sleepers++
+	m.sleeps++
+}
+
+// wake puts sleeping spinner p back on the heap at its first read that
+// orders after (at, id), the position of the event that woke it: the
+// operation after which its variable changed (Proc.wakeWaiters), the
+// transaction that takes its copy (loseCopy), or the livelock guard.
+//
+// The reads before that position are accounted here in one loop, with no
+// heap operation. Each is an L1 hit on p's own copy that sees the
+// variable unchanged, so stop need not run, and it moves only p's Loads,
+// L1Hits, Busy and clock. It makes one step call, whose backoff draws
+// from p's own random source. Its L1 LRU tick leaves the line where the
+// spin read left it, most recently used, and its false-sharing
+// classifier call repeats the spin read's with no store to the block in
+// between (a store would have taken the copy), so neither changes
+// anything. So slept reads commute with every other operation, and
+// accounting them late leaves the machine as servicing them in order
+// would. p stays in m.asleep until it is back on the heap, so a Cancel
+// hook that fires here leaves it where abort finds it.
+func (m *Machine) wake(p *Proc, at uint64, id memory.NodeID) {
+	o, s := &p.pending, &p.spin
+	l1 := uint64(m.cfg.L1.AccessTime)
+	reads, busy := uint64(0), uint64(0)
+	for o.at < at || o.at == at && p.id < id {
+		reads++
+		if m.hooks {
+			m.afterOp(o) // polls Config.Cancel, slept reads included
+		}
+		n := l1
+		if k := s.step(); k > 0 {
+			n += uint64(k)
+		}
+		busy += n
+		o.at += n
+	}
+	cpu := &m.st.CPUs[p.id]
+	cpu.Loads += reads
+	cpu.L1Hits += reads
+	cpu.Busy += busy
+	p.clock = o.at
+	m.sleptReads += reads
+	w := *s.w
+	last := w[len(w)-1]
+	w[s.idx], last.spin.idx = last, s.idx
+	w[len(w)-1] = nil
+	*s.w = w[:len(w)-1]
+	m.asleep[p.id] = nil
+	m.sleepers--
+	m.h.push(o)
+}
+
+// wakeAtGuard wakes every sleeping spinner at the livelock guard, once
+// only sleepers are left before it: nothing can wake them sooner, so
+// each spins up to MaxCycles, as the serial loop would.
+func (m *Machine) wakeAtGuard() {
+	for _, p := range m.asleep {
+		if p != nil {
+			m.wake(p, m.cfg.MaxCycles, memory.NodeID(m.cfg.Nodes))
+		}
 	}
 }
 
@@ -388,14 +492,21 @@ func (m *Machine) grantLease(p *Proc) {
 // of self. It wakes every other parked processor in turn; each panics out
 // of its program with abortProgram and acknowledges on its resume channel
 // before the next is woken, so the processors still unwind one at a time.
-// The operation being serviced when the failure hit is out of the heap
-// while its processor is still parked, so it goes back first. Processors
-// not yet started never start. Finally abort delivers err to Run.
+// The operation being serviced when the failure hit, and every sleeping
+// spinner's, are out of the heap while their processors are still
+// parked, so they go back first. Processors not yet started never start.
+// Finally abort delivers err to Run.
 func (m *Machine) abort(self *Proc, err error) {
 	m.aborted = true
 	if o := m.servicing; o != nil {
 		m.servicing = nil
 		m.h.push(o)
+	}
+	for i, p := range m.asleep {
+		if p != nil {
+			m.asleep[i] = nil
+			m.h.push(&p.pending)
+		}
 	}
 	for o := m.h.pop(); o != nil; o = m.h.pop() {
 		if o.proc != self {
@@ -420,6 +531,7 @@ func (m *Machine) service(next *op) {
 	}
 	m.execute(next)
 	next.proc.lastDone = next.proc.clock
+	next.proc.lastAt = next.at
 	if m.hooks {
 		m.afterOp(next)
 	}

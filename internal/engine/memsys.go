@@ -415,8 +415,15 @@ func (m *Machine) invalidateSharers(e *directory.Entry, block memory.Addr, keep,
 }
 
 // loseCopy removes node n's copy of block (invalidation or downgrade-free
-// loss) and informs the false-sharing classifier.
+// loss) and informs the false-sharing classifier. A spinner asleep on n
+// with its spin word in block wakes first, at the position of the
+// transaction being serviced: its reads from then on miss.
 func (m *Machine) loseCopy(n memory.NodeID, block memory.Addr, byInvalidation bool) {
+	if m.asleep != nil {
+		if p := m.asleep[n]; p != nil && p.spin.block == block {
+			m.wake(p, m.servicing.at, m.servicing.proc.id)
+		}
+	}
 	m.nodes[n].caches.Invalidate(block)
 	if m.fs != nil {
 		m.fs.OnLose(n, block, byInvalidation)

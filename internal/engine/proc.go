@@ -23,20 +23,26 @@ type op struct {
 	rmw  bool // atomic read-modify-write (e.g. SPARC ldstub/swap)
 	excl bool // exclusive-read annotation (software prefetch-exclusive)
 
-	// spin marks a declarative spin-wait (Proc.SpinRead): after each
-	// service the scheduler evaluates spin.stop and, while it is false,
-	// re-arms the read spin.step busy cycles later without waking the
-	// processor's goroutine (Machine.popServe).
-	spin *spinState
+	// spin marks a declarative spin-wait (Proc.spinRead): after each
+	// service the scheduler evaluates the processor's spin state and,
+	// while stop is false, re-arms the read step busy cycles later, or
+	// puts the spinner to sleep, without waking its goroutine
+	// (Machine.popServe).
+	spin bool
 }
 
-// spinState is the predicate pair of a declarative spin-wait. Both
-// closures run on whichever goroutine holds the conch; the
-// one-goroutine-at-a-time discipline makes that as safe as running them
-// on the spinning processor's own goroutine, in exactly the same order.
+// spinState is a processor's declarative spin-wait: its predicate pair,
+// the spin word's block, and the waiter list it sleeps on. Both closures
+// run on whichever goroutine holds the conch; the one-goroutine-at-a-time
+// discipline makes that as safe as running them on the spinning
+// processor's own goroutine, in exactly the same order. Each Proc reuses
+// its one spinState for every spin.
 type spinState struct {
-	stop func() bool // terminate the spin after the read just serviced?
-	step func() int  // busy cycles until the next read
+	stop  func() bool // terminate the spin after the read just serviced?
+	step  func() int  // busy cycles until the next read
+	block memory.Addr // the spin word's block
+	w     *waiters    // the Lock's or Barrier's list it sleeps on
+	idx   int         // its index in *w while it sleeps
 }
 
 // Proc is a simulated processor's handle onto the machine, passed to its
@@ -53,14 +59,17 @@ type Proc struct {
 	// the relaxed-consistency model (zero when modeling SC).
 	writeDrain uint64
 	// lastDone is the clock after the previous operation completed (used
-	// to compute trace capture gaps).
+	// to compute trace capture gaps); lastAt is that operation's issue
+	// time, the position of a release that follows it (Proc.wakeWaiters).
 	lastDone uint64
+	lastAt   uint64
 
 	// pending is the processor's single in-flight operation, reused across
 	// submissions: submit blocks until the scheduler has serviced it, so
 	// one op per processor suffices and the per-access heap allocation of
 	// a fresh op is avoided.
 	pending op
+	spin    spinState
 
 	// leaseAt/leaseID are the processor's run-ahead lease: the (clock, id)
 	// horizon of the best other pending operation, granted by the
@@ -164,15 +173,18 @@ func (p *Proc) submit(o op) {
 	}
 }
 
-// SpinRead is the engine's spin-wait primitive: simulated word reads of
-// addr until stop() holds, separated by step() busy cycles — exactly the
-// load / test / backoff loop it replaces, with identical simulated timing
-// and service order. Under the run-ahead scheduler the iterations after
-// the first are serviced declaratively by whichever goroutine holds the
-// conch (Machine.popServe), so a spinning processor costs no goroutine
-// handoffs until its predicate flips; the serial scheduler runs the plain
-// loop.
-func (p *Proc) SpinRead(addr memory.Addr, stop func() bool, step func() int) {
+// spinRead is the engine's spin-wait primitive, for Lock and Barrier:
+// simulated word reads of addr until stop() holds, separated by step()
+// busy cycles — exactly the load / test / backoff loop it replaces, with
+// identical simulated timing and service order. Under the run-ahead
+// scheduler the iterations after the first are serviced declaratively by
+// whichever goroutine holds the conch (Machine.popServe), so a spinning
+// processor costs no goroutine handoffs until its predicate flips, and a
+// spinner whose copy of the word sits in its own L1 sleeps on w, off the
+// heap, until the variable changes or it loses the copy (Machine.wake).
+// stop must therefore read only state whose every change wakes w. The
+// serial scheduler runs the plain loop.
+func (p *Proc) spinRead(addr memory.Addr, w *waiters, stop func() bool, step func() int) {
 	p.Read(addr)
 	if stop() {
 		return
@@ -187,8 +199,20 @@ func (p *Proc) SpinRead(addr memory.Addr, stop func() bool, step func() int) {
 		}
 	}
 	p.Compute(step())
-	p.submit(op{addr: addr, size: memory.WordSize, kind: memory.Load,
-		spin: &spinState{stop: stop, step: step}})
+	p.spin = spinState{stop: stop, step: step, block: p.m.layout.Block(addr), w: w}
+	p.submit(op{addr: addr, size: memory.WordSize, kind: memory.Load, spin: true})
+}
+
+// wakeWaiters wakes every spinner asleep on w. Its caller has just
+// changed the variable they spin on, in program code that follows its
+// last serviced operation, so that is the wake position. The caller's
+// next operation is the store to the spin word, which must invalidate
+// the woken spinners' copies, so it is never serviced inline ahead of
+// their reads under a lease granted before they woke.
+func (p *Proc) wakeWaiters(w *waiters) {
+	for len(*w) > 0 {
+		p.m.wake((*w)[len(*w)-1], p.lastAt, p.id)
+	}
 }
 
 // runInline services o in the processor's own goroutine under its
@@ -211,7 +235,7 @@ func (p *Proc) runInline(o *op) bool {
 	if o.at > p.leaseAt || (o.at == p.leaseAt && p.id >= p.leaseID) {
 		return false
 	}
-	if o.rmw || o.spin != nil {
+	if o.rmw || o.spin {
 		return false
 	}
 	m := p.m

@@ -18,12 +18,19 @@ import (
 // goroutine at a time, and program code between two simulated memory
 // operations is atomic with respect to all other simulated processors.
 
+// waiters is the list of spinners asleep on one Lock or Barrier: under
+// the run-ahead scheduler a spinner whose copy of the spin word sits in
+// its own L1 leaves the scheduler heap until the variable changes
+// (Proc.wakeWaiters) or it loses the copy (Machine.loseCopy).
+type waiters []*Proc
+
 // Lock is a test-and-test-and-set spin lock occupying one simulated word.
 type Lock struct {
 	addr    memory.Addr
 	held    bool
 	holder  memory.NodeID
 	backoff int
+	waiters waiters // spinners asleep until Release
 
 	// Acquisitions and Contended count lock usage for workload reports
 	// (e.g. the OLTP critical-section statistics of §5.4).
@@ -72,7 +79,7 @@ func (l *Lock) Acquire(p *Proc) {
 			return
 		}
 		contended = true
-		p.SpinRead(l.addr,
+		p.spinRead(l.addr, &l.waiters,
 			func() bool { return !l.held },
 			func() int {
 				n := backoff + p.Rand().Intn(backoff)
@@ -93,6 +100,7 @@ func (l *Lock) Release(p *Proc) {
 	}
 	l.held = false
 	l.holder = memory.NoNode
+	p.wakeWaiters(&l.waiters)
 	p.Write(l.addr)
 }
 
@@ -104,6 +112,7 @@ type Barrier struct {
 	count      int
 	sense      bool
 	localSense []bool
+	waiters    waiters // spinners asleep until the sense flips
 }
 
 // NewBarrier allocates barrier state for the given number of parties.
@@ -127,10 +136,11 @@ func (b *Barrier) Wait(p *Proc) {
 	if b.count == b.parties {
 		b.count = 0
 		b.sense = ls
+		p.wakeWaiters(&b.waiters)
 		p.Write(b.senseAddr) // release: invalidates all spinners
 		return
 	}
-	p.SpinRead(b.senseAddr,
+	p.spinRead(b.senseAddr, &b.waiters,
 		func() bool { return b.sense == ls },
 		func() int { return 8 })
 }
