@@ -13,10 +13,12 @@ import (
 )
 
 // TestCLISurface builds the five binaries and pins their command-line
-// surface: each -h lists exactly the flags below, a bad machine-flag or
-// -scale value or an unknown artifact fails before any simulation, with
-// a non-zero exit, nothing on stdout and a single line on stderr, and
-// the profile flags write their profiles.
+// surface: each -h lists exactly the flags below; a bad machine-flag or
+// -scale value, an unknown artifact or a flag the run would ignore
+// (lssim -figure without -protocol all) fails before any simulation, with
+// a non-zero exit, nothing on stdout and a single line on stderr;
+// lssim -regions prints a region block per protocol; and the profile
+// flags write their profiles.
 func TestCLISurface(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the binaries; skipped in -short")
@@ -64,6 +66,7 @@ func TestCLISurface(t *testing.T) {
 		{"lssweep", "-retry", "max:banana"},
 		{"lssim", "-check", "extreme"},
 		{"lssweep", "-scale", "huge"},
+		{"lssim", "-figure", "-protocol", "LS"},
 	}
 	for _, b := range bad {
 		var stdout, stderr bytes.Buffer
@@ -77,6 +80,16 @@ func TestCLISurface(t *testing.T) {
 		if stdout.Len() != 0 || strings.Count(stderr.String(), "\n") != 1 {
 			t.Errorf("%v: want empty stdout and one stderr line, got stdout %q, stderr %q", b, stdout.String(), stderr.String())
 		}
+	}
+
+	// Under the default -protocol all, -regions prints each protocol's
+	// region block after its result.
+	out, err := exec.Command(filepath.Join(dir, "lssim"), "-regions", "-workload", "oltp").Output()
+	if err != nil {
+		t.Fatalf("lssim -regions: %v", err)
+	}
+	if n, want := strings.Count(string(out), "region coverage"), len(Protocols()); n != want {
+		t.Errorf("lssim -regions printed %d region blocks, want %d:\n%s", n, want, out)
 	}
 
 	// The profile rows write their profiles when the run ends.

@@ -58,6 +58,9 @@ func main() {
 		DetagHysteresis: *detagHyst,
 	}
 	if *protoName != "all" {
+		if *figure {
+			flags.Fatal(fmt.Errorf("-figure needs -protocol all"))
+		}
 		cfg.Protocol = lsnuma.Protocol(*protoName)
 	}
 	if err := cfg.Validate(); err != nil {
@@ -84,6 +87,9 @@ func main() {
 		}
 		for _, p := range lsnuma.Protocols() {
 			printResult(results[p])
+			if *regions {
+				printRegions(results[p])
+			}
 		}
 		return
 	}

@@ -119,11 +119,11 @@ type Config struct {
 	// shrink, the traffic savings remain.
 	RelaxedWrites bool
 	// Scheduler selects the discrete-event scheduler: "runahead" (or
-	// empty, the default, which services local hits inline under
-	// run-ahead leases) or "serial" (the reference: the same scheduling
-	// path without leases, so every operation takes a scheduler step; for
-	// differential testing and debugging). Both produce byte-identical
-	// Results.
+	// empty, the default, under which a processor services its operation
+	// in place whenever it is the earliest pending one) or "serial" (the
+	// reference: the same scheduling path, but every operation takes a
+	// scheduler step; for differential testing and debugging). Both
+	// produce byte-identical Results.
 	Scheduler string
 	// Check runs the coherence invariant checker online ("" or CheckOff
 	// disables it). Checking is side-effect free: simulated Results are

@@ -3,12 +3,14 @@ package lsnuma
 // Differential determinism tests for the run-ahead scheduler: every
 // workload × protocol combination must export byte-identical Results
 // under Scheduler="serial" and under the default run-ahead scheduler.
-// Both run the engine's one scheduling path; serial, with no run-ahead
-// leases and plain spin loops, takes a scheduler step for every memory
-// operation and is the reference semantics. Run-ahead claims to service
-// operations in exactly the same order, and these tests hold it to that
-// across the full workload matrix, including the 16- and 32-processor
-// Figure 5 configurations, the micro kernels and online checking.
+// Both run the engine's one scheduling path; serial, with plain spin
+// loops, takes a scheduler step for every memory operation and is the
+// reference semantics. Run-ahead services an operation in place whenever
+// it is the earliest pending one and sleeps spinners off the heap; it
+// claims to service operations in exactly the same order, and these
+// tests hold it to that across the full workload matrix, including the
+// 16- and 32-processor Figure 5 configurations, the micro kernels and
+// online checking.
 
 import (
 	"bytes"
@@ -194,8 +196,8 @@ func TestDifferentialAblations(t *testing.T) {
 }
 
 // TestDifferentialCapture: trace capture runs under either scheduler —
-// under run-ahead the recorder also sees the operations serviced inline —
-// and records byte-identical traces for every workload.
+// under run-ahead the recorder also sees the operations serviced in
+// place — and records byte-identical traces for every workload.
 func TestDifferentialCapture(t *testing.T) {
 	for _, w := range Workloads() {
 		t.Run(w, func(t *testing.T) {
@@ -234,9 +236,9 @@ func TestDifferentialCapture(t *testing.T) {
 				}
 				if sched == "runahead" {
 					if m.RunAheadOps() == 0 {
-						t.Error("run-ahead serviced no operation inline during capture")
+						t.Error("run-ahead serviced no operation in place during capture")
 					}
-					t.Logf("%d operations captured, %d serviced inline", tw.Len(), m.RunAheadOps())
+					t.Logf("%d operations captured, %d serviced in place", tw.Len(), m.RunAheadOps())
 				}
 				traces[i] = buf.Bytes()
 			}

@@ -147,31 +147,6 @@ func (h *Hierarchy) Access(block memory.Addr, kind memory.Kind) AccessResult {
 	}
 }
 
-// Classify predicts the global action Access would report for the given
-// access without performing it: no LRU touch, no L1 refill, no LStemp
-// promotion. The decision depends only on the authoritative L2 state
-// (the L1 mirrors a subset of L2 with the same per-block state), so a
-// probe suffices. The run-ahead engine uses this to decide whether an
-// operation can be serviced inline or must go to the scheduler — in the
-// latter case the caches must be left exactly as they were, because other
-// processors' pending operations may change them first.
-func (h *Hierarchy) Classify(block memory.Addr, kind memory.Kind) GlobalAction {
-	switch h.l2.Probe(block) {
-	case Invalid:
-		if kind == memory.Load {
-			return GlobalRead
-		}
-		return GlobalWriteMiss
-	case Shared:
-		if kind == memory.Load {
-			return NoGlobal
-		}
-		return GlobalUpgrade
-	default: // Modified, LStemp: loads and stores complete locally
-		return NoGlobal
-	}
-}
-
 // refillL1 brings a block into L1 mirroring state s. An L1 victim needs no
 // coherence action (its authoritative copy stays in L2); a Modified L1
 // victim's data conceptually writes back into L2, which already holds the

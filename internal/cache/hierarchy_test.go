@@ -2,7 +2,6 @@ package cache
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -273,69 +272,5 @@ func TestGlobalActionString(t *testing.T) {
 		if g.String() != want {
 			t.Errorf("%d.String() = %q, want %q", uint8(g), g.String(), want)
 		}
-	}
-}
-
-// TestClassifyMatchesAccess drives a random access/fill/invalidate
-// sequence and checks that Classify always predicts exactly the Action
-// that Access then reports, and that a rejected (global) classification
-// leaves the hierarchy untouched — the contract the engine's run-ahead
-// path depends on.
-func TestClassifyMatchesAccess(t *testing.T) {
-	f := func(seed int64) bool {
-		h := newHier(t)
-		r := rand.New(rand.NewSource(seed))
-		blocks := []memory.Addr{0, 16, 32, 256, 272, 512}
-		for i := 0; i < 500; i++ {
-			b := blocks[r.Intn(len(blocks))]
-			kind := memory.Load
-			if r.Intn(2) == 0 {
-				kind = memory.Store
-			}
-			predicted := h.Classify(b, kind)
-			if predicted != NoGlobal {
-				// A rejected classification must be side-effect free.
-				before1, before2 := h.l1.Probe(b), h.l2.Probe(b)
-				if h.Classify(b, kind) != predicted {
-					t.Error("Classify not idempotent")
-					return false
-				}
-				if h.l1.Probe(b) != before1 || h.l2.Probe(b) != before2 {
-					t.Error("Classify mutated cache state")
-					return false
-				}
-			}
-			res := h.Access(b, kind)
-			if res.Action != predicted {
-				t.Errorf("block %#x %v: Classify=%v but Access=%v", b, kind, predicted, res.Action)
-				return false
-			}
-			// Emulate the protocol's response so states keep evolving.
-			switch res.Action {
-			case GlobalRead:
-				s := Shared
-				if r.Intn(3) == 0 {
-					s = LStemp
-				}
-				h.Fill(b, s)
-			case GlobalWriteMiss:
-				h.Fill(b, Modified)
-			case GlobalUpgrade:
-				h.Upgrade(b)
-			}
-			// Occasional remote invalidation/downgrade.
-			if r.Intn(8) == 0 {
-				v := blocks[r.Intn(len(blocks))]
-				if r.Intn(2) == 0 {
-					h.Invalidate(v)
-				} else {
-					h.Downgrade(v)
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
 	}
 }

@@ -77,7 +77,7 @@ var table = []row{
 		field: func(c *lsnuma.Config) any { return &c.DirMSHRs }},
 	{name: "retry", usage: "NACK/loss retry policy: max:N,base:C,cap:C,jitter:S (empty = retries off)",
 		field: func(c *lsnuma.Config) any { return &c.Retry }},
-	{name: "scheduler", usage: "scheduler: runahead (default) or serial (the reference, without run-ahead; slower)",
+	{name: "scheduler", usage: "scheduler: runahead (default) or serial (the reference: a scheduler step for every operation; slower)",
 		field: func(c *lsnuma.Config) any { return &c.Scheduler }},
 	{name: "dirformat", usage: "directory wire format: full (default), limited:i, or coarse:K",
 		field: func(c *lsnuma.Config) any { return &c.DirFormat }},

@@ -48,17 +48,18 @@ const defaultMaxCycles = 100_000_000_000
 type Sched uint8
 
 const (
-	// SchedRunAhead is the default: each step grants the processor it
-	// resumes a run-ahead lease under which it services its local hits
-	// inline, spin-waits are re-armed without waking the spinner, and a
-	// spinner whose copy of its lock or barrier word sits in its own L1
-	// sleeps off the heap until the variable changes or it loses the
-	// copy, its slept reads accounted on wake (see Proc.runInline,
-	// Machine.popServe and Machine.wake). With a checker, fault injector
-	// or recorder attached, spinners stay on the heap.
+	// SchedRunAhead is the default: the processor holding the conch
+	// services its operation in place, with no scheduler step, whenever
+	// it orders before every operation in the heap; spin-waits are
+	// re-armed without waking the spinner; and a spinner whose copy of
+	// its lock or barrier word sits in its own L1 sleeps off the heap
+	// until the variable changes or it loses the copy, its slept reads
+	// accounted on wake (see Proc.runInline, Machine.popServe and
+	// Machine.wake). With a checker, fault injector or recorder
+	// attached, spinners stay on the heap.
 	SchedRunAhead Sched = iota
-	// SchedSerial is the reference: the same path with no run-ahead
-	// leases and no sleeping, so every memory operation, each spin read
+	// SchedSerial is the reference: the same path with no in-place
+	// service and no sleeping, so every memory operation, each spin read
 	// included, takes a scheduler step.
 	SchedSerial
 )
@@ -162,10 +163,11 @@ type Config struct {
 	// a non-nil return aborts the run with a *CancelledError wrapping it.
 	// Used for per-point wall-clock deadlines (context plumbing).
 	Cancel func() error
-	// Sched selects the scheduler: the default run-ahead scheduler, which
-	// leases processors the right to service local hits inline (see
-	// Proc.runInline), or the serial reference. Both produce
-	// byte-identical Results and service operations in the same order.
+	// Sched selects the scheduler: the default run-ahead scheduler, under
+	// which a processor services its operation in place whenever it is
+	// the earliest pending one (see Proc.runInline), or the serial
+	// reference. Both produce byte-identical Results and service
+	// operations in the same order.
 	Sched Sched
 	// DirFormat selects the directory's wire format: full presence map
 	// (the default and the differential oracle), limited-pointer Dir_i_B,

@@ -64,8 +64,8 @@ type Machine struct {
 	// then on unwinds out of its program (Machine.abort).
 	aborted bool
 
-	// runAheadOps counts operations serviced inline under a run-ahead
-	// lease, without a scheduler step (introspection/tests).
+	// runAheadOps counts operations serviced in place, without a
+	// scheduler step (Proc.runInline; introspection/tests).
 	runAheadOps uint64
 
 	// Sleeping spinners (Machine.sleep and wake). asleep holds, by node,
@@ -85,8 +85,9 @@ type Machine struct {
 	// Robustness state (Config.CheckLevel / FaultInjector / Cancel).
 	// hooks gates the whole per-operation robustness path with a single
 	// comparison, so a machine with everything off pays nothing. servicing
-	// is the operation popServe is servicing: on an abort its processor is
-	// parked in submit without an entry in the heap, so abort puts it back.
+	// is the operation popServe or Proc.runInline is servicing: on an
+	// abort its processor may be parked in submit without an entry in the
+	// heap, so abort puts it back.
 	hooks      bool
 	checker    *check.Checker
 	checkEvery uint64
@@ -279,12 +280,12 @@ func (m *Machine) Hierarchy(n memory.NodeID) *cache.Hierarchy { return m.nodes[n
 // service order, just before it is serviced: trace capture and a failed
 // point's operation trail ride it. Must be set before Run. The hook sees
 // the same sequence under either scheduler: it runs on the scheduler
-// path and on run-ahead's inline path alike. A panic with a
+// path and on run-ahead's in-place path alike. A panic with a
 // *CancelledError ends the run with that error.
 func (m *Machine) SetRecorder(fn func(OpRecord)) { m.recorder = fn }
 
-// RunAheadOps returns the number of operations serviced inline under a
-// run-ahead lease (zero under SchedSerial).
+// RunAheadOps returns the number of operations serviced in place,
+// without a scheduler step (zero under SchedSerial).
 func (m *Machine) RunAheadOps() uint64 { return m.runAheadOps }
 
 // Run executes one program per processor to completion and finalizes the
@@ -296,8 +297,8 @@ func (m *Machine) RunAheadOps() uint64 { return m.runAheadOps }
 // conch is the only one running. Processors start one at a time, in CPU
 // order: each runs its prologue, parks its first operation in the heap
 // and starts the next (startNext), and the last to start takes the first
-// scheduler step. From then on every yield — a submit that cannot run
-// ahead, or a program's return — takes a step, and Run only waits for the
+// scheduler step. From then on every yield — a submit not serviced in
+// place, or a program's return — takes a step, and Run only waits for the
 // outcome on m.done.
 func (m *Machine) Run(programs []Program) error {
 	if m.procs != nil {
@@ -349,9 +350,6 @@ func (m *Machine) step(self *Proc) *Proc {
 		return nil
 	}
 	next := m.popServe().proc
-	if m.cfg.Sched != SchedSerial {
-		m.grantLease(next)
-	}
 	if next != self {
 		next.resume <- struct{}{}
 	}
@@ -477,17 +475,6 @@ func (m *Machine) wakeAtGuard() {
 	}
 }
 
-// grantLease grants p the run-ahead lease up to the best other pending
-// op. With no other pending op the lease is unbounded (the id bound is
-// above every real CPU id, so the tie case cannot reject).
-func (m *Machine) grantLease(p *Proc) {
-	if o := m.h.min(); o != nil {
-		p.leaseAt, p.leaseID = o.at, o.proc.id
-	} else {
-		p.leaseAt, p.leaseID = ^uint64(0), memory.NodeID(m.cfg.Nodes)
-	}
-}
-
 // abort ends a failed run from the goroutine holding the conch on behalf
 // of self. It wakes every other parked processor in turn; each panics out
 // of its program with abortProgram and acknowledges on its resume channel
@@ -520,8 +507,8 @@ func (m *Machine) abort(self *Proc, err error) {
 // service executes one operation: the recorder hook (if any), the
 // pre-transaction check, the detailed memory-system model, the issuing
 // processor's completion bookkeeping and the per-operation hooks. The
-// scheduler calls it for the operation it picks; Proc.runInline calls it
-// for an operation its lease admits.
+// scheduler calls it for the operation it pops; Proc.runInline calls it
+// for the operation the next step would pop.
 func (m *Machine) service(next *op) {
 	if m.recorder != nil {
 		m.record(next)

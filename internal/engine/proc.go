@@ -3,7 +3,6 @@ package engine
 import (
 	"math/rand"
 
-	"lsnuma/internal/cache"
 	"lsnuma/internal/memory"
 )
 
@@ -70,15 +69,6 @@ type Proc struct {
 	// a fresh op is avoided.
 	pending op
 	spin    spinState
-
-	// leaseAt/leaseID are the processor's run-ahead lease: the (clock, id)
-	// horizon of the best other pending operation, granted by the
-	// scheduler on resume. Operations ordering strictly before the
-	// horizon are serviced inline with no scheduler step (see runInline).
-	// Zero under the serial scheduler, which never grants leases, and
-	// during startup: the zero lease rejects every operation.
-	leaseAt uint64
-	leaseID memory.NodeID
 }
 
 // ID returns the processor's node id.
@@ -147,22 +137,22 @@ func (p *Proc) run(prog Program) {
 	}
 }
 
-// submit services one memory operation. Fast path: inline in this
-// goroutine when the run-ahead lease permits (runInline). Otherwise it
-// parks the operation in the heap and passes the conch on: during
-// startup to the next processor, afterwards through a scheduler step,
-// which keeps the conch here when our own operation wins (zero context
-// switches) and otherwise hands it to the winner (one switch). Either way
-// it blocks until a later step services our operation. On every return
-// the operation has been serviced and the clock advanced by the modeled
-// latency.
+// submit services one memory operation. When it is the operation the
+// next scheduler step would pop anyway, it is serviced in place
+// (runInline). Otherwise it parks in the heap and the conch passes on:
+// during startup to the next processor, afterwards through a scheduler
+// step, which keeps the conch here when our own operation wins (zero
+// context switches) and otherwise hands it to the winner (one switch).
+// Either way it blocks until a later step services our operation. On
+// every return the operation has been serviced and the clock advanced by
+// the modeled latency.
 func (p *Proc) submit(o op) {
 	o.proc = p
 	o.at = p.clock
-	if p.runInline(&o) {
+	p.pending = o
+	if p.runInline() {
 		return
 	}
-	p.pending = o
 	m := p.m
 	m.h.push(&p.pending)
 	if m.startNext() || m.step(p) != p {
@@ -205,50 +195,44 @@ func (p *Proc) spinRead(addr memory.Addr, w *waiters, stop func() bool, step fun
 
 // wakeWaiters wakes every spinner asleep on w. Its caller has just
 // changed the variable they spin on, in program code that follows its
-// last serviced operation, so that is the wake position. The caller's
-// next operation is the store to the spin word, which must invalidate
-// the woken spinners' copies, so it is never serviced inline ahead of
-// their reads under a lease granted before they woke.
+// last serviced operation, so that is the wake position. The woken
+// spinners are back on the heap before the caller's next operation, the
+// store to the spin word, is compared with its minimum (runInline).
 func (p *Proc) wakeWaiters(w *waiters) {
 	for len(*w) > 0 {
 		p.m.wake((*w)[len(*w)-1], p.lastAt, p.id)
 	}
 }
 
-// runInline services o in the processor's own goroutine under its
-// run-ahead lease, with no scheduler step, and reports whether it
-// did. It may do so only when both hold:
+// runInline services p's pending operation in place, with no scheduler
+// step, and reports whether it did. Under SchedRunAhead it does so when
+// the operation orders before every operation in the heap: that is the
+// operation the next step would pop, so the service order stays the
+// serial scheduler's, provided also that
 //
-//   - (o.at, p.id) orders strictly before the lease horizon — these are
-//     exactly the operations the scheduler would pick next anyway, so
-//     servicing them here preserves the global service order bit for bit;
-//   - the operation is purely local: single-block, not an atomic, within
-//     the MaxCycles guard, and classified hit/upgrade-free without side
-//     effects — everything global (directory, network, invalidations,
-//     the livelock guard) stays on the scheduler path.
+//   - every processor has started, so prologues keep their CPU order;
+//   - it is not a spin read, whose stop, step and sleep popServe runs;
+//   - it is within MaxCycles, so popServe raises the livelock guard.
 //
-// This processor holds the conch while it runs ahead and every other
-// processor is parked on its resume channel, so the one-goroutine-at-a-
-// time discipline (and with it the race-freedom of the shared simulator
-// state) is unchanged.
-func (p *Proc) runInline(o *op) bool {
-	if o.at > p.leaseAt || (o.at == p.leaseAt && p.id >= p.leaseID) {
+// SchedSerial, the reference, steps for every operation. Sleeping
+// spinners are off the heap, but their slept reads commute with every
+// operation except the two that wake them (Machine.wake), and both push
+// the spinner back before the next comparison: wakeWaiters runs before
+// the waker submits its store, and loseCopy runs inside the service that
+// takes the copy. As in popServe, the operation is m.servicing
+// meanwhile, so loseCopy knows the wake position and a failure is
+// attributed to p.
+func (p *Proc) runInline() bool {
+	m, o := p.m, &p.pending
+	if m.cfg.Sched == SchedSerial || m.started < len(m.procs) || o.spin || o.at > m.cfg.MaxCycles {
 		return false
 	}
-	if o.rmw || o.spin {
+	if next := m.h.min(); next != nil && !opBefore(o, next) {
 		return false
 	}
-	m := p.m
-	if o.at > m.cfg.MaxCycles {
-		return false
-	}
-	if !m.layout.SameBlock(o.addr, o.addr+memory.Addr(o.size)-1) {
-		return false
-	}
-	if m.nodes[p.id].caches.Classify(m.layout.Block(o.addr), o.kind) != cache.NoGlobal {
-		return false
-	}
+	m.servicing = o
 	m.service(o)
+	m.servicing = nil
 	m.runAheadOps++
 	return true
 }

@@ -71,14 +71,63 @@ func schedulerStats(t *testing.T, serial bool) *Machine {
 }
 
 // TestRunAheadEngages checks that the default scheduler actually services
-// operations inline under the lease (the whole point of the optimization)
-// and that the serial scheduler never does.
+// operations in place, without a scheduler step (the whole point of the
+// optimization), and that the serial scheduler never does.
 func TestRunAheadEngages(t *testing.T) {
 	if got := schedulerStats(t, false).RunAheadOps(); got == 0 {
-		t.Error("run-ahead scheduler serviced no operations inline")
+		t.Error("run-ahead scheduler serviced no operations in place")
 	}
 	if got := schedulerStats(t, true).RunAheadOps(); got != 0 {
-		t.Errorf("serial scheduler serviced %d operations inline", got)
+		t.Errorf("serial scheduler serviced %d operations in place", got)
+	}
+}
+
+// TestRunAheadServicesGlobalOpsInPlace pins the in-place rule: an
+// operation that orders before every operation in the heap is serviced
+// without a scheduler step, whatever the memory system does with it.
+// CPU 0's write misses, its RMW and its block-straddling store all come
+// long before CPU 1's only read, so each of CPU 0's operations after the
+// first, which the first scheduler step pops, is serviced in place, and
+// every statistic matches the serial run's.
+func TestRunAheadServicesGlobalOpsInPlace(t *testing.T) {
+	const misses = 64
+	run := func(sched Sched) *Machine {
+		cfg := testConfig(protocol.LS, protocol.Variant{})
+		cfg.Sched = sched
+		m, err := NewMachine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bs := memory.Addr(m.Layout().BlockSize)
+		data := m.Alloc().AllocBlocks("data", misses+3)
+		first := func(p *Proc) {
+			for i := memory.Addr(0); i < misses; i++ {
+				p.Write(data + i*bs)
+			}
+			p.RMW(data + misses*bs)
+			p.WriteN(data+(misses+1)*bs+bs/2, uint32(bs)) // two blocks
+		}
+		late := func(p *Proc) {
+			p.Compute(1_000_000)
+			p.Read(data)
+		}
+		if err := m.Run([]Program{first, late}); err != nil {
+			t.Fatalf("%v: %v", sched, err)
+		}
+		if err := m.CheckCoherence(); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	serial, ahead := run(SchedSerial), run(SchedRunAhead)
+	if d := diffRuns(serial, ahead); d != "" {
+		t.Fatal(d)
+	}
+	if got := ahead.Stats().CPUs[0].GlobalOps; got < misses+3 {
+		t.Fatalf("CPU 0 made %d global operations, want at least %d", got, misses+3)
+	}
+	if got, want := ahead.RunAheadOps(), uint64(misses+1); got != want {
+		t.Errorf("run-ahead serviced %d operations in place, want %d", got, want)
 	}
 }
 
@@ -172,8 +221,8 @@ func TestNoGoroutineLeakOnPanic(t *testing.T) {
 
 // TestRecorderCancelNoGoroutineLeak: a recorder may end a run by
 // panicking with a *CancelledError, as a prefix capture does, and under
-// run-ahead it may do so from the inline path. Run must return that
-// error and every program goroutine must exit.
+// run-ahead it may do so from the in-place path (runInline). Run must
+// return that error and every program goroutine must exit.
 func TestRecorderCancelNoGoroutineLeak(t *testing.T) {
 	errPrefix := errors.New("prefix captured")
 	for _, serial := range []bool{false, true} {
@@ -208,7 +257,7 @@ func TestRecorderCancelNoGoroutineLeak(t *testing.T) {
 				t.Fatalf("Run = %v, want the recorder's cancellation", err)
 			}
 			if !serial && inline == 0 {
-				t.Error("the recorder never ran on the inline path")
+				t.Error("the recorder never ran on the in-place path")
 			}
 			waitForGoroutines(t, baseline)
 		})
